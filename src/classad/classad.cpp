@@ -1,6 +1,9 @@
 #include "classad/classad.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
+#include <functional>
 #include <sstream>
 
 #include "classad/eval.hpp"
@@ -57,7 +60,7 @@ std::optional<std::int64_t> ClassAd::eval_integer(const std::string& name,
                                                   const ClassAd* target) const {
   const Value v = eval(name, target);
   if (v.is_integer()) return v.as_integer();
-  if (v.is_real()) return static_cast<std::int64_t>(v.as_real());
+  if (v.is_real()) return real_to_integer(v.as_real());
   return std::nullopt;
 }
 
@@ -96,6 +99,147 @@ std::string ClassAd::to_string() const {
     os << name << " = " << classad::to_string(*expr) << "\n";
   }
   return os.str();
+}
+
+namespace {
+
+bool reads_target_in(const ClassAd& ad, const Expr& e) {
+  if (e.kind == Expr::Kind::kAttrRef) {
+    return e.scope == AttrScope::kTarget ||
+           (e.scope == AttrScope::kNone && !ad.has(e.attr));
+  }
+  return std::any_of(e.children.begin(), e.children.end(),
+                     [&](const ExprPtr& c) { return reads_target_in(ad, *c); });
+}
+
+bool same_literal(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kUndefined:
+    case ValueType::kError: return true;
+    case ValueType::kBoolean: return a.as_boolean() == b.as_boolean();
+    case ValueType::kInteger: return a.as_integer() == b.as_integer();
+    case ValueType::kReal:
+      return std::bit_cast<std::uint64_t>(a.as_real()) ==
+             std::bit_cast<std::uint64_t>(b.as_real());
+    case ValueType::kString: return a.as_string() == b.as_string();
+  }
+  return false;
+}
+
+void mix(std::uint64_t& h, std::uint64_t x) {
+  h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
+
+void hash_into(std::uint64_t& h, const Expr& e) {
+  mix(h, static_cast<std::uint64_t>(e.kind));
+  switch (e.kind) {
+    case Expr::Kind::kLiteral: {
+      const Value& v = e.literal;
+      mix(h, static_cast<std::uint64_t>(v.type()));
+      if (v.is_boolean()) mix(h, v.as_boolean() ? 1 : 0);
+      if (v.is_integer()) mix(h, static_cast<std::uint64_t>(v.as_integer()));
+      if (v.is_real()) mix(h, std::bit_cast<std::uint64_t>(v.as_real()));
+      if (v.is_string()) mix(h, std::hash<std::string>{}(v.as_string()));
+      break;
+    }
+    case Expr::Kind::kAttrRef:
+      mix(h, static_cast<std::uint64_t>(e.scope));
+      mix(h, std::hash<std::string>{}(e.attr));
+      break;
+    case Expr::Kind::kUnary: mix(h, static_cast<std::uint64_t>(e.unary_op)); break;
+    case Expr::Kind::kBinary: mix(h, static_cast<std::uint64_t>(e.binary_op)); break;
+    case Expr::Kind::kTernary: break;
+    case Expr::Kind::kCall: mix(h, std::hash<std::string>{}(e.function)); break;
+  }
+  for (const ExprPtr& c : e.children) hash_into(h, *c);
+}
+
+/// Appends to `out` what `e`, evaluated with `ad` as MY, reads of `ad`
+/// (see MatchSignature::reads); `seen` holds the names already visited.
+void collect_reads(const ClassAd& ad, const Expr& e,
+                   std::vector<const std::string*>& seen,
+                   std::vector<ExprPtr>& out) {
+  if (e.kind != Expr::Kind::kAttrRef) {
+    for (const ExprPtr& c : e.children) collect_reads(ad, *c, seen, out);
+    return;
+  }
+  if (e.scope == AttrScope::kTarget) return;
+  for (const std::string* name : seen) {
+    if (iequals(*name, e.attr)) return;
+  }
+  seen.push_back(&e.attr);
+  // Pre-order: each name visited is then a function of the tree and the
+  // values recorded before it, so equal sequences mean equal walks.
+  const ExprPtr value = ad.lookup(e.attr);
+  out.push_back(value);
+  if (value != nullptr) collect_reads(ad, *value, seen, out);
+}
+
+}  // namespace
+
+bool ClassAd::reads_target() const {
+  return std::any_of(attrs_.begin(), attrs_.end(), [&](const auto& attr) {
+    return reads_target_in(*this, *attr.second);
+  });
+}
+
+bool same_expr(const ExprPtr& a, const ExprPtr& b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr) return false;
+  if (a->kind != b->kind || a->children.size() != b->children.size()) {
+    return false;
+  }
+  switch (a->kind) {
+    case Expr::Kind::kLiteral:
+      if (!same_literal(a->literal, b->literal)) return false;
+      break;
+    case Expr::Kind::kAttrRef:
+      if (a->scope != b->scope || a->attr != b->attr) return false;
+      break;
+    case Expr::Kind::kUnary:
+      if (a->unary_op != b->unary_op) return false;
+      break;
+    case Expr::Kind::kBinary:
+      if (a->binary_op != b->binary_op) return false;
+      break;
+    case Expr::Kind::kTernary: break;
+    case Expr::Kind::kCall:
+      if (a->function != b->function) return false;
+      break;
+  }
+  for (std::size_t i = 0; i < a->children.size(); ++i) {
+    if (!same_expr(a->children[i], b->children[i])) return false;
+  }
+  return true;
+}
+
+bool operator==(const MatchSignature& a, const MatchSignature& b) {
+  if (a.hash != b.hash || a.reads.size() != b.reads.size() ||
+      !same_expr(a.requirements, b.requirements)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.reads.size(); ++i) {
+    if (!same_expr(a.reads[i], b.reads[i])) return false;
+  }
+  return true;
+}
+
+MatchSignature match_signature(const ClassAd& ad) {
+  MatchSignature sig;
+  sig.requirements = ad.lookup("Requirements");
+  if (sig.requirements == nullptr) return sig;
+  std::vector<const std::string*> seen;
+  collect_reads(ad, *sig.requirements, seen, sig.reads);
+  hash_into(sig.hash, *sig.requirements);
+  for (const ExprPtr& read : sig.reads) {
+    if (read == nullptr) {
+      mix(sig.hash, 0);
+    } else {
+      hash_into(sig.hash, *read);
+    }
+  }
+  return sig;
 }
 
 bool requirements_met(const ClassAd& ad, const ClassAd& target) {

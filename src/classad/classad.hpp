@@ -2,6 +2,7 @@
 // plus the two-way matchmaking primitive Condor's negotiator uses.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -52,6 +53,11 @@ class ClassAd {
   /// Multi-line `Name = expr` rendering, sorted by attribute name.
   [[nodiscard]] std::string to_string() const;
 
+  /// True when evaluating some attribute of this ad (as MY) can read the
+  /// other ad of a match: a TARGET.x reference, or a bare x this ad does
+  /// not define.
+  [[nodiscard]] bool reads_target() const;
+
  private:
   struct ILess {
     bool operator()(const std::string& a, const std::string& b) const {
@@ -72,6 +78,30 @@ class ClassAd {
 
 /// Evaluates `ad.Rank` against target; 0.0 when absent or non-numeric.
 [[nodiscard]] double eval_rank(const ClassAd& ad, const ClassAd& target);
+
+/// Structural equality of expression trees: same node kinds, operators,
+/// attribute references (names compared exactly) and literal values
+/// (strings case-sensitively, reals bit for bit). A shared tree equals
+/// itself without a walk; null equals only null.
+[[nodiscard]] bool same_expr(const ExprPtr& a, const ExprPtr& b);
+
+/// What evaluating an ad's Requirements can read of that ad: the key the
+/// FIFO negotiator groups pending jobs into autoclusters by (see
+/// docs/negotiation.md). Two ads with equal signatures get the same
+/// requirements_met and symmetric_match result against any ad whose
+/// reads_target() is false.
+struct MatchSignature {
+  ExprPtr requirements;  ///< null: the ad accepts anything
+  /// The ad's own attribute values that Requirements can read — every
+  /// MY.x and bare x, followed through those values' expressions — in
+  /// first-visit order, each name once; null where the ad lacks x.
+  std::vector<ExprPtr> reads;
+  std::uint64_t hash = 0;  ///< equal signatures hash equal
+
+  friend bool operator==(const MatchSignature& a, const MatchSignature& b);
+};
+
+[[nodiscard]] MatchSignature match_signature(const ClassAd& ad);
 
 /// Parses a whole ClassAd from its textual form: one `Name = <expr>` per
 /// line, `#` comments and blank lines ignored. Inverse of

@@ -39,6 +39,13 @@ Value eval_attr_ref(const Expr& expr, const EvalContext& ctx, int depth) {
   return Value::error();
 }
 
+/// A real result of int()/floor()/ceiling()/round() as an integer, or
+/// error when it does not fit int64.
+Value integer_or_error(double x) {
+  const auto i = real_to_integer(x);
+  return i.has_value() ? Value::integer(*i) : Value::error();
+}
+
 Value call_builtin(const std::string& name, const std::vector<Value>& args) {
   auto arity = [&](std::size_t n) { return args.size() == n; };
 
@@ -58,9 +65,7 @@ Value call_builtin(const std::string& name, const std::vector<Value>& args) {
   if (iequals(name, "int")) {
     if (!arity(1)) return Value::error();
     if (args[0].is_integer()) return args[0];
-    if (args[0].is_real()) {
-      return Value::integer(static_cast<std::int64_t>(args[0].as_real()));
-    }
+    if (args[0].is_real()) return integer_or_error(args[0].as_real());
     if (args[0].is_boolean()) return Value::integer(args[0].as_boolean() ? 1 : 0);
     return Value::error();
   }
@@ -76,30 +81,33 @@ Value call_builtin(const std::string& name, const std::vector<Value>& args) {
   }
   if (iequals(name, "floor")) {
     if (!arity(1) || !args[0].is_number()) return Value::error();
-    return Value::integer(static_cast<std::int64_t>(std::floor(args[0].number())));
+    return integer_or_error(std::floor(args[0].number()));
   }
   if (iequals(name, "ceiling")) {
     if (!arity(1) || !args[0].is_number()) return Value::error();
-    return Value::integer(static_cast<std::int64_t>(std::ceil(args[0].number())));
+    return integer_or_error(std::ceil(args[0].number()));
   }
   if (iequals(name, "round")) {
     if (!arity(1) || !args[0].is_number()) return Value::error();
-    return Value::integer(static_cast<std::int64_t>(std::llround(args[0].number())));
+    // std::round rounds halves away from zero, as llround does.
+    return integer_or_error(std::round(args[0].number()));
   }
   if (iequals(name, "min") || iequals(name, "max")) {
     if (args.empty()) return Value::error();
     const bool want_min = iequals(name, "min");
     bool all_int = true;
-    double best = 0.0;
+    std::size_t best = 0;
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (args[i].is_undefined()) return Value::undefined();
       if (!args[i].is_number()) return Value::error();
       all_int = all_int && args[i].is_integer();
       const double x = args[i].number();
-      if (i == 0 || (want_min ? x < best : x > best)) best = x;
+      const double y = args[best].number();
+      if (want_min ? x < y : x > y) best = i;
     }
-    return all_int ? Value::integer(static_cast<std::int64_t>(best))
-                   : Value::real(best);
+    // The winning argument itself, so an integer result never makes a
+    // lossy round trip through double.
+    return all_int ? args[best] : Value::real(args[best].number());
   }
   if (iequals(name, "strcat")) {
     std::string out;
@@ -187,6 +195,15 @@ Value eval_node(const Expr& expr, const EvalContext& ctx, int depth) {
     }
     case Expr::Kind::kBinary: {
       const Value a = eval_node(*expr.children[0], ctx, depth + 1);
+      // Short-circuit: op_and / op_or yield a boolean beside an undefined
+      // operand only when the left side alone decides them (false for
+      // &&, true for ||), and evaluation has no side effects.
+      if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
+        const Value decided = expr.binary_op == BinaryOp::kAnd
+                                  ? op_and(a, Value::undefined())
+                                  : op_or(a, Value::undefined());
+        if (decided.is_boolean()) return decided;
+      }
       const Value b = eval_node(*expr.children[1], ctx, depth + 1);
       switch (expr.binary_op) {
         case BinaryOp::kAdd: return op_add(a, b);

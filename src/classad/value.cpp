@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 namespace phisched::classad {
@@ -122,6 +123,13 @@ bool Value::same_as(const Value& other) const {
   return false;
 }
 
+std::optional<std::int64_t> real_to_integer(double x) {
+  // [-2^63, 2^63) holds exactly the doubles whose truncation fits int64;
+  // NaN fails both comparisons.
+  if (!(x >= -0x1p63 && x < 0x1p63)) return std::nullopt;
+  return static_cast<std::int64_t>(x);
+}
+
 bool iequals(const std::string& a, const std::string& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -140,21 +148,38 @@ bool iless(const std::string& a, const std::string& b) {
   return a.size() < b.size();
 }
 
+// Integer arithmetic that leaves int64 range is an error, not wraparound
+// (signed overflow is undefined behaviour in C++).
 Value op_add(const Value& a, const Value& b) {
   return arith(
-      a, b, [](auto x, auto y) { return Value::integer(x + y); },
+      a, b,
+      [](std::int64_t x, std::int64_t y) {
+        std::int64_t r = 0;
+        return __builtin_add_overflow(x, y, &r) ? Value::error()
+                                                : Value::integer(r);
+      },
       [](double x, double y) { return Value::real(x + y); });
 }
 
 Value op_sub(const Value& a, const Value& b) {
   return arith(
-      a, b, [](auto x, auto y) { return Value::integer(x - y); },
+      a, b,
+      [](std::int64_t x, std::int64_t y) {
+        std::int64_t r = 0;
+        return __builtin_sub_overflow(x, y, &r) ? Value::error()
+                                                : Value::integer(r);
+      },
       [](double x, double y) { return Value::real(x - y); });
 }
 
 Value op_mul(const Value& a, const Value& b) {
   return arith(
-      a, b, [](auto x, auto y) { return Value::integer(x * y); },
+      a, b,
+      [](std::int64_t x, std::int64_t y) {
+        std::int64_t r = 0;
+        return __builtin_mul_overflow(x, y, &r) ? Value::error()
+                                                : Value::integer(r);
+      },
       [](double x, double y) { return Value::real(x * y); });
 }
 
@@ -162,7 +187,9 @@ Value op_div(const Value& a, const Value& b) {
   return arith(
       a, b,
       [](std::int64_t x, std::int64_t y) {
-        return y == 0 ? Value::error() : Value::integer(x / y);
+        // INT64_MIN / -1 is the one quotient outside int64.
+        return y == 0 || (x == INT64_MIN && y == -1) ? Value::error()
+                                                     : Value::integer(x / y);
       },
       [](double x, double y) {
         return y == 0.0 ? Value::error() : Value::real(x / y);
@@ -173,7 +200,8 @@ Value op_mod(const Value& a, const Value& b) {
   return arith(
       a, b,
       [](std::int64_t x, std::int64_t y) {
-        return y == 0 ? Value::error() : Value::integer(x % y);
+        return y == 0 || (x == INT64_MIN && y == -1) ? Value::error()
+                                                     : Value::integer(x % y);
       },
       [](double x, double y) {
         return y == 0.0 ? Value::error() : Value::real(std::fmod(x, y));
@@ -183,7 +211,10 @@ Value op_mod(const Value& a, const Value& b) {
 Value op_neg(const Value& a) {
   if (a.is_error()) return Value::error();
   if (a.is_undefined()) return Value::undefined();
-  if (a.is_integer()) return Value::integer(-a.as_integer());
+  if (a.is_integer()) {
+    return a.as_integer() == INT64_MIN ? Value::error()
+                                       : Value::integer(-a.as_integer());
+  }
   if (a.is_real()) return Value::real(-a.as_real());
   return Value::error();
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -65,6 +66,10 @@ class Value {
 
   std::variant<Undefined, Error, bool, std::int64_t, double, std::string> data_;
 };
+
+/// `x` truncated toward zero, or nullopt when x is NaN, infinite or
+/// outside int64 range (where the plain cast is undefined behaviour).
+[[nodiscard]] std::optional<std::int64_t> real_to_integer(double x);
 
 /// Case-insensitive ASCII string equality (ClassAd string semantics).
 [[nodiscard]] bool iequals(const std::string& a, const std::string& b);

@@ -5,6 +5,7 @@
 
 #include "common/quantize.hpp"
 
+#include "classad/parser.hpp"
 #include "cluster/jobrun.hpp"
 #include "cluster/node.hpp"
 #include "common/check.hpp"
@@ -53,6 +54,7 @@ Harness::Harness(const ExperimentConfig& config)
                    "experiment: dispatch latency must be below the "
                    "negotiation interval");
   if (config_.telemetry) recorder_ = std::make_unique<obs::Recorder>();
+  job_requirements_ = classad::parse(requirements_for_stack());
   build_nodes();
   build_condor();
 }
@@ -222,9 +224,8 @@ void Harness::submit(const workload::JobSpec& job) {
   total_jobs_ += 1;
   final_.reset();
 
-  const std::string reqs = requirements_for_stack();
   if (job.submit_time <= sim_->now()) {
-    schedd_.submit(job.id, condor::make_job_ad(job, reqs));
+    schedd_.submit(job.id, condor::make_job_ad(job, job_requirements_));
   } else {
     // Dynamic arrival (the paper's "dynamic scenario with continuously
     // arriving jobs"): each negotiation cycle schedules a snapshot of
@@ -232,8 +233,8 @@ void Harness::submit(const workload::JobSpec& job) {
     // re-reading specs_ at fire time would silently pick up whatever a
     // later mutation (e.g. a retry's memory boost on a resubmitted id)
     // left there instead of what this call submitted.
-    sim_->schedule_at(job.submit_time, [this, spec = job, reqs] {
-      schedd_.submit(spec.id, condor::make_job_ad(spec, reqs));
+    sim_->schedule_at(job.submit_time, [this, spec = job] {
+      schedd_.submit(spec.id, condor::make_job_ad(spec, job_requirements_));
     });
   }
 
@@ -392,8 +393,7 @@ void Harness::on_job_done(const workload::JobSpec& spec, NodeId node_id,
         std::llround(static_cast<double>(stored.mem_req_mib) *
                      config_.retry_memory_boost));
     stored.mem_req_mib = std::min(usable, quantize_up(boosted));
-    schedd_.requeue(spec.id,
-                    condor::make_job_ad(stored, requirements_for_stack()));
+    schedd_.requeue(spec.id, condor::make_job_ad(stored, job_requirements_));
     return;
   }
   schedd_.mark_failed(spec.id);

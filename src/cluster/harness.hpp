@@ -179,6 +179,8 @@ class Harness {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::unique_ptr<core::SharingAwareScheduler> addon_;
+  /// requirements_for_stack(), parsed once and shared by every job ad.
+  classad::ExprPtr job_requirements_;
   std::map<JobId, workload::JobSpec> specs_;
   std::map<JobId, std::unique_ptr<JobRun>> runs_;
   std::set<DeviceAddress> exclusive_claims_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "classad/parser.hpp"
 #include "common/check.hpp"
 #include "condor/ads.hpp"
 
@@ -130,7 +131,10 @@ classad::ClassAd Node::machine_ad() const {
     }
   }
   ad.insert_integer(condor::kAttrPhiFreeMemory, best_free);
-  ad.insert_expr(condor::kAttrRequirements, "MY.FreeSlots >= 1");
+  // Parsed once; every machine ad shares the tree.
+  static const classad::ExprPtr kRequirements =
+      classad::parse("MY.FreeSlots >= 1");
+  ad.insert(condor::kAttrRequirements, kRequirements);
   return ad;
 }
 

@@ -1,5 +1,7 @@
 #include "condor/ads.hpp"
 
+#include "classad/parser.hpp"
+
 namespace phisched::condor {
 
 std::string per_device_memory_attr(DeviceId d) {
@@ -57,6 +59,11 @@ std::string pinned_requirements(NodeId node) {
 
 classad::ClassAd make_job_ad(const workload::JobSpec& job,
                              const std::string& requirements) {
+  return make_job_ad(job, classad::parse(requirements));
+}
+
+classad::ClassAd make_job_ad(const workload::JobSpec& job,
+                             classad::ExprPtr requirements) {
   classad::ClassAd ad;
   ad.insert_integer(kAttrJobId, static_cast<std::int64_t>(job.id));
   ad.insert_integer(kAttrRequestPhiMemory, job.mem_req_mib);
@@ -65,7 +72,7 @@ classad::ClassAd make_job_ad(const workload::JobSpec& job,
   if (job.mem_bw_mib_s > 0.0) {
     ad.insert_real(kAttrRequestPhiMemBandwidth, job.mem_bw_mib_s);
   }
-  ad.insert_expr(kAttrRequirements, requirements);
+  ad.insert(kAttrRequirements, std::move(requirements));
   return ad;
 }
 

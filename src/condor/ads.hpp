@@ -96,4 +96,9 @@ inline constexpr const char* kAttrJobPrio = "JobPrio";
 [[nodiscard]] classad::ClassAd make_job_ad(const workload::JobSpec& job,
                                            const std::string& requirements);
 
+/// Same, sharing an already parsed Requirements tree: jobs built from one
+/// tree skip the parse and group into one autocluster cheaply.
+[[nodiscard]] classad::ClassAd make_job_ad(const workload::JobSpec& job,
+                                           classad::ExprPtr requirements);
+
 }  // namespace phisched::condor

@@ -3,8 +3,19 @@
 #include "classad/parser.hpp"
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "condor/ads.hpp"
 
 namespace phisched::condor {
+
+namespace {
+
+/// Refreshes what the negotiator reads of `rec.ad` every cycle.
+void note_ad_change(JobRecord& rec) {
+  rec.signature = classad::match_signature(rec.ad);
+  rec.prio = rec.ad.eval_integer(kAttrJobPrio).value_or(0);
+}
+
+}  // namespace
 
 const char* job_state_name(JobState s) {
   switch (s) {
@@ -23,6 +34,9 @@ void Schedd::submit(JobId id, classad::ClassAd ad) {
   rec.id = id;
   rec.ad = std::move(ad);
   rec.submit_time = sim_.now();
+  rec.fifo_index = fifo_.size();
+  note_ad_change(rec);
+  pending_fifo_.insert(pending_fifo_.end(), rec.fifo_index);
   jobs_.emplace(id, std::move(rec));
   fifo_.push_back(id);
   if (obs_.rec != nullptr) obs_.jobs_submitted->inc();
@@ -63,6 +77,7 @@ void Schedd::qedit(JobId id, const std::string& attr, classad::ExprPtr expr) {
   PHISCHED_REQUIRE(rec.state == JobState::kPending,
                    "qedit: job is no longer pending");
   rec.ad.insert(attr, std::move(expr));
+  note_ad_change(rec);
 }
 
 void Schedd::qedit_expr(JobId id, const std::string& attr,
@@ -72,12 +87,8 @@ void Schedd::qedit_expr(JobId id, const std::string& attr,
 
 std::vector<JobId> Schedd::pending() const {
   std::vector<JobId> out;
-  for (JobId id : fifo_) {
-    auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second.state == JobState::kPending) {
-      out.push_back(id);
-    }
-  }
+  out.reserve(pending_fifo_.size());
+  for (const std::size_t i : pending_fifo_) out.push_back(fifo_[i]);
   return out;
 }
 
@@ -89,24 +100,30 @@ const JobRecord& Schedd::record(JobId id) const {
 
 bool Schedd::known(JobId id) const { return jobs_.find(id) != jobs_.end(); }
 
+void Schedd::set_state(JobRecord& rec, JobState state) {
+  if (rec.state == JobState::kPending) pending_fifo_.erase(rec.fifo_index);
+  if (state == JobState::kPending) pending_fifo_.insert(rec.fifo_index);
+  rec.state = state;
+}
+
 void Schedd::mark_matched(JobId id, NodeId node) {
   JobRecord& rec = mutable_record(id);
   PHISCHED_REQUIRE(rec.state == JobState::kPending, "mark_matched: not pending");
-  rec.state = JobState::kMatched;
+  set_state(rec, JobState::kMatched);
   rec.node = node;
 }
 
 void Schedd::mark_running(JobId id) {
   JobRecord& rec = mutable_record(id);
   PHISCHED_REQUIRE(rec.state == JobState::kMatched, "mark_running: not matched");
-  rec.state = JobState::kRunning;
+  set_state(rec, JobState::kRunning);
   rec.start_time = sim_.now();
 }
 
 void Schedd::mark_completed(JobId id) {
   JobRecord& rec = mutable_record(id);
   PHISCHED_REQUIRE(rec.state == JobState::kRunning, "mark_completed: not running");
-  rec.state = JobState::kCompleted;
+  set_state(rec, JobState::kCompleted);
   rec.finish_time = sim_.now();
   last_finish_ = sim_.now();
   ++completed_;
@@ -122,7 +139,7 @@ void Schedd::mark_failed(JobId id) {
   PHISCHED_REQUIRE(rec.state == JobState::kRunning ||
                        rec.state == JobState::kMatched,
                    "mark_failed: job not active");
-  rec.state = JobState::kFailed;
+  set_state(rec, JobState::kFailed);
   rec.finish_time = sim_.now();
   last_finish_ = sim_.now();
   ++failed_;
@@ -138,10 +155,11 @@ void Schedd::requeue(JobId id, classad::ClassAd new_ad) {
   PHISCHED_REQUIRE(rec.state == JobState::kRunning ||
                        rec.state == JobState::kMatched,
                    "requeue: job not active");
-  rec.state = JobState::kPending;
+  set_state(rec, JobState::kPending);
   rec.node = -1;
   rec.start_time = -1.0;
   rec.ad = std::move(new_ad);
+  note_ad_change(rec);
   rec.retries += 1;
   if (obs_.rec != nullptr) obs_.jobs_requeued->inc();
 }
@@ -149,16 +167,8 @@ void Schedd::requeue(JobId id, classad::ClassAd new_ad) {
 void Schedd::release_match(JobId id) {
   JobRecord& rec = mutable_record(id);
   PHISCHED_REQUIRE(rec.state == JobState::kMatched, "release_match: not matched");
-  rec.state = JobState::kPending;
+  set_state(rec, JobState::kPending);
   rec.node = -1;
-}
-
-std::size_t Schedd::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, rec] : jobs_) {
-    if (rec.state == JobState::kPending) ++n;
-  }
-  return n;
 }
 
 }  // namespace phisched::condor

@@ -7,7 +7,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "classad/classad.hpp"
@@ -36,6 +37,13 @@ struct JobRecord {
   SimTime start_time = -1.0;
   SimTime finish_time = -1.0;
   int retries = 0;  ///< times the job was requeued after a failure
+  /// Position in submission order (the FIFO tie-break).
+  std::size_t fifo_index = 0;
+  /// The ad's JobPrio (0 when absent), read once per ad change.
+  std::int64_t prio = 0;
+  /// What the two-way match reads of `ad` — the job's autocluster key.
+  /// Recomputed whenever the ad changes (submit, qedit, requeue).
+  classad::MatchSignature signature;
 };
 
 class Schedd {
@@ -54,7 +62,7 @@ class Schedd {
   void qedit_expr(JobId id, const std::string& attr,
                   const std::string& expr_source);
 
-  /// Pending job ids in FIFO order.
+  /// Pending job ids in FIFO order; O(pending).
   [[nodiscard]] std::vector<JobId> pending() const;
 
   [[nodiscard]] const JobRecord& record(JobId id) const;
@@ -78,7 +86,9 @@ class Schedd {
   [[nodiscard]] std::size_t submitted_count() const { return jobs_.size(); }
   [[nodiscard]] std::size_t completed_count() const { return completed_; }
   [[nodiscard]] std::size_t failed_count() const { return failed_; }
-  [[nodiscard]] std::size_t pending_count() const;
+  [[nodiscard]] std::size_t pending_count() const {
+    return pending_fifo_.size();
+  }
   /// True when every submitted job reached a terminal state.
   [[nodiscard]] bool drained() const {
     return completed_ + failed_ == jobs_.size();
@@ -112,10 +122,15 @@ class Schedd {
   void note_terminal(const JobRecord& rec, const char* type);
 
   JobRecord& mutable_record(JobId id);
+  /// Moves `rec` into or out of the pending queue.
+  void set_state(JobRecord& rec, JobState state);
 
   Simulator& sim_;
-  std::map<JobId, JobRecord> jobs_;
+  // Looked up by id only, never iterated; node-based, so a JobRecord
+  // reference stays valid while later jobs are submitted.
+  std::unordered_map<JobId, JobRecord> jobs_;
   std::vector<JobId> fifo_;  // submission order
+  std::set<std::size_t> pending_fifo_;  // fifo_ indices of pending jobs
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
   SimTime last_finish_ = 0.0;

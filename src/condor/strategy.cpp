@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <unordered_map>
 
 #include "common/check.hpp"
 #include "condor/ads.hpp"
@@ -14,39 +15,172 @@ namespace phisched::condor {
 
 namespace {
 
-/// One FIFO-style match attempt for `job_id` against the (deducted)
-/// machine snapshot — the shared per-job path: FifoStrategy's whole loop,
-/// and BatchStrategy's fallback for gang jobs the packer cannot place.
+using Machines = std::vector<std::pair<NodeId, classad::ClassAd>>;
+
+/// Picks one of `candidates` (ascending machine indices, nonempty) per
+/// `order` — the second half of choose_machine.
+std::size_t pick_machine(const classad::ClassAd& job_ad,
+                         const std::vector<std::size_t>& candidates,
+                         const Machines& machines, MachineOrder order,
+                         Rng& rng) {
+  std::size_t chosen = candidates.front();
+  switch (order) {
+    case MachineOrder::kFirstFit:
+      break;
+    case MachineOrder::kRandom:
+      chosen = candidates[rng.index(candidates.size())];
+      break;
+    case MachineOrder::kBestRank: {
+      // Strictly-greater updates over candidates in ascending machine
+      // order: equal-Rank ties resolve to the lowest node id (the
+      // candidate list is ordered by node id).
+      double best_rank = classad::eval_rank(job_ad, machines[chosen].second);
+      for (const std::size_t m : candidates) {
+        const double rank = classad::eval_rank(job_ad, machines[m].second);
+        if (rank > best_rank) {
+          best_rank = rank;
+          chosen = m;
+        }
+      }
+      break;
+    }
+  }
+  return chosen;
+}
+
+/// Claims machine `m` for pending job `rec`: mark_matched, then dispatch;
+/// a refused dispatch releases the match. Returns true when the job
+/// dispatched (its requests are then deducted from the machine's ad).
+bool claim(MatchCycle& cycle, const JobRecord& rec, std::size_t m,
+           CycleOutcome& outcome) {
+  auto& [node, machine_ad] = cycle.machines[m];
+  cycle.schedd.mark_matched(rec.id, node);
+  if (!cycle.dispatch(rec.id, node)) {
+    ++outcome.rejected_dispatches;
+    cycle.schedd.release_match(rec.id);
+    return false;
+  }
+  ++outcome.matches;
+  deduct_from_ad(machine_ad, rec.ad, cycle.deduct_custom_resources);
+  if (cycle.want_latencies) {
+    outcome.match_latencies.push_back(cycle.now - rec.submit_time);
+  }
+  return true;
+}
+
+/// One per-job match attempt for `job_id` against the (deducted) machine
+/// snapshot: FifoStrategy's fallback when a machine ad reads its TARGET,
+/// and BatchStrategy's path for gang jobs the packer cannot place.
 void match_one(MatchCycle& cycle, JobId job_id, CycleOutcome& outcome) {
   const JobRecord& rec = cycle.schedd.record(job_id);
   if (rec.state != JobState::kPending) return;  // hook may have acted
-  const classad::ClassAd& job_ad = rec.ad;
-
   const auto chosen =
-      choose_machine(job_ad, cycle.machines, cycle.order, cycle.rng);
-  if (!chosen.has_value()) return;
-
-  const NodeId node = cycle.machines[*chosen].first;
-  cycle.schedd.mark_matched(job_id, node);
-  if (cycle.dispatch(job_id, node)) {
-    ++outcome.matches;
-    deduct_from_ad(cycle.machines[*chosen].second, job_ad,
-                   cycle.deduct_custom_resources);
-    if (cycle.want_latencies) {
-      outcome.match_latencies.push_back(cycle.now - rec.submit_time);
-    }
-  } else {
-    ++outcome.rejected_dispatches;
-    cycle.schedd.release_match(job_id);
-  }
+      choose_machine(rec.ad, cycle.machines, cycle.order, cycle.rng);
+  if (chosen.has_value()) claim(cycle, rec, *chosen, outcome);
 }
 
+/// One cycle's candidate-machine lists, one per autocluster: the pending
+/// jobs whose MatchSignature compares equal, which therefore match the
+/// same machines. A list is computed from the first member walked and
+/// kept until a claim deducts from a machine ad; only the machines
+/// touched since are then re-checked. Valid only while no machine ad
+/// reads its TARGET (machine-side evaluation must not see the job).
+class CandidateCache {
+ public:
+  explicit CandidateCache(const Machines& machines) : machines_(machines) {}
+
+  /// Ascending indices of the machines `rec`'s ad matches both ways.
+  const std::vector<std::size_t>& candidates(const JobRecord& rec) {
+    Cluster& cluster = find_or_add(rec);
+    for (; cluster.seen < touched_.size(); ++cluster.seen) {
+      const std::size_t m = touched_[cluster.seen];
+      const bool now = classad::symmetric_match(rec.ad, machines_[m].second);
+      if (now == (cluster.match[m] != 0)) continue;
+      cluster.match[m] = now ? 1 : 0;
+      auto at = std::lower_bound(cluster.candidates.begin(),
+                                 cluster.candidates.end(), m);
+      if (now) {
+        cluster.candidates.insert(at, m);
+      } else {
+        cluster.candidates.erase(at);
+      }
+    }
+    return cluster.candidates;
+  }
+
+  /// A claim deducted from machine `m`'s ad.
+  void touched(std::size_t m) { touched_.push_back(m); }
+
+ private:
+  struct Cluster {
+    classad::MatchSignature signature;
+    std::vector<char> match;  ///< per machine: matches both ways
+    std::vector<std::size_t> candidates;
+    std::size_t seen = 0;  ///< prefix of touched_ already re-checked
+  };
+
+  Cluster& find_or_add(const JobRecord& rec) {
+    // Queue neighbours usually share a shape: try the last cluster first.
+    if (last_ < clusters_.size() &&
+        clusters_[last_].signature == rec.signature) {
+      return clusters_[last_];
+    }
+    std::vector<std::size_t>& bucket = by_hash_[rec.signature.hash];
+    for (const std::size_t c : bucket) {
+      if (clusters_[c].signature == rec.signature) {
+        last_ = c;
+        return clusters_[c];
+      }
+    }
+    Cluster cluster;
+    cluster.signature = rec.signature;
+    cluster.match.resize(machines_.size());
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      if (classad::symmetric_match(rec.ad, machines_[m].second)) {
+        cluster.match[m] = 1;
+        cluster.candidates.push_back(m);
+      }
+    }
+    cluster.seen = touched_.size();
+    last_ = clusters_.size();
+    bucket.push_back(last_);
+    clusters_.push_back(std::move(cluster));
+    return clusters_.back();
+  }
+
+  const Machines& machines_;
+  std::vector<Cluster> clusters_;
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash_;
+  std::vector<std::size_t> touched_;  ///< machines claimed from, in order
+  std::size_t last_ = 0;
+};
+
+/// The paper's FIFO walk over autoclusters. Each job still draws its own
+/// rng.index and runs its own claim, in queue order, so every decision
+/// equals choose_machine's per-job walk (pinned by
+/// tests/condor/test_autocluster.cpp).
 class FifoStrategy final : public MatchStrategy {
  public:
   CycleOutcome run(MatchCycle& cycle) override {
     CycleOutcome outcome;
+    const bool per_job = std::any_of(
+        cycle.machines.begin(), cycle.machines.end(),
+        [](const auto& machine) { return machine.second.reads_target(); });
+    if (per_job) {
+      for (const JobId job_id : cycle.pending) {
+        match_one(cycle, job_id, outcome);
+      }
+      return outcome;
+    }
+    CandidateCache cache(cycle.machines);
     for (const JobId job_id : cycle.pending) {
-      match_one(cycle, job_id, outcome);
+      const JobRecord& rec = cycle.schedd.record(job_id);
+      if (rec.state != JobState::kPending) continue;  // hook may have acted
+      const std::vector<std::size_t>& candidates = cache.candidates(rec);
+      if (candidates.empty()) continue;
+      const std::size_t m = pick_machine(rec.ad, candidates, cycle.machines,
+                                         cycle.order, cycle.rng);
+      if (claim(cycle, rec, m, outcome)) cache.touched(m);
     }
     return outcome;
   }
@@ -275,10 +409,9 @@ class BatchStrategy final : public MatchStrategy {
     for (const knapsack::BatchPlacement& placement : packed.placed) {
       const JobId job_id = singles[placement.job_tag];
       const auto [m, device] = bin_addr[placement.bin];
-      auto& [node, machine_ad] = cycle.machines[m];
       const JobRecord& rec = cycle.schedd.record(job_id);
       if (rec.state != JobState::kPending) continue;
-      if (!classad::symmetric_match(rec.ad, machine_ad)) {
+      if (!classad::symmetric_match(rec.ad, cycle.machines[m].second)) {
         ++outcome.occupancy_rejected;
         continue;
       }
@@ -289,17 +422,7 @@ class BatchStrategy final : public MatchStrategy {
         cycle.schedd.qedit_expr(job_id, kAttrPinnedDevice,
                                 std::to_string(device));
       }
-      cycle.schedd.mark_matched(job_id, node);
-      if (cycle.dispatch(job_id, node)) {
-        ++outcome.matches;
-        deduct_from_ad(machine_ad, rec.ad, cycle.deduct_custom_resources);
-        if (cycle.want_latencies) {
-          outcome.match_latencies.push_back(cycle.now - rec.submit_time);
-        }
-      } else {
-        ++outcome.rejected_dispatches;
-        cycle.schedd.release_match(job_id);
-      }
+      claim(cycle, rec, m, outcome);
     }
   }
 
@@ -429,14 +552,16 @@ std::string negotiation_to_string(const NegotiationConfig& c) {
 std::vector<JobId> ordered_pending(const Schedd& schedd,
                                    std::vector<JobId> pending) {
   // Higher JobPrio first; FIFO (the schedd's order) within equal
-  // priorities. Jobs without the attribute have priority 0. Priorities
-  // are evaluated once per job per cycle.
+  // priorities. Jobs without the attribute have priority 0. The schedd
+  // evaluates JobPrio once per ad change (JobRecord::prio).
   std::vector<std::pair<std::int64_t, JobId>> ordered;
   ordered.reserve(pending.size());
+  bool uniform = true;
   for (const JobId id : pending) {
-    ordered.emplace_back(
-        schedd.record(id).ad.eval_integer(kAttrJobPrio).value_or(0), id);
+    ordered.emplace_back(schedd.record(id).prio, id);
+    uniform = uniform && ordered.back().first == ordered.front().first;
   }
+  if (uniform) return pending;  // already in FIFO order
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
   pending.clear();
@@ -472,30 +597,7 @@ std::optional<std::size_t> choose_machine(
     }
   }
   if (candidates.empty()) return std::nullopt;
-
-  std::size_t chosen = candidates.front();
-  switch (order) {
-    case MachineOrder::kFirstFit:
-      break;
-    case MachineOrder::kRandom:
-      chosen = candidates[rng.index(candidates.size())];
-      break;
-    case MachineOrder::kBestRank: {
-      // Strictly-greater updates over candidates in ascending machine
-      // order: equal-Rank ties resolve to the lowest node id (the
-      // candidate list is ordered by node id).
-      double best_rank = classad::eval_rank(job_ad, machines[chosen].second);
-      for (const std::size_t m : candidates) {
-        const double rank = classad::eval_rank(job_ad, machines[m].second);
-        if (rank > best_rank) {
-          best_rank = rank;
-          chosen = m;
-        }
-      }
-      break;
-    }
-  }
-  return chosen;
+  return pick_machine(job_ad, candidates, machines, order, rng);
 }
 
 std::unique_ptr<MatchStrategy> make_match_strategy(

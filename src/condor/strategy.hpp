@@ -6,11 +6,16 @@
 // matchmaking to a MatchStrategy:
 //
 //   FifoStrategy   the paper's Section II-D walk: one job at a time in
-//                  order, candidates via the two-way Requirements check,
-//                  one machine chosen per MachineOrder, resources deducted
-//                  from the cycle-local ad copy. Bit-identical to the
+//                  order, candidates via the two-way Requirements check
+//                  (computed once per autocluster — jobs with equal
+//                  classad::MatchSignature — and refreshed only for
+//                  machines a claim deducted from), one machine chosen
+//                  per MachineOrder, resources deducted from the
+//                  cycle-local ad copy. Bit-identical to the
 //                  pre-refactor negotiator (pinned by
-//                  tests/cluster/test_fifo_equivalence.cpp).
+//                  tests/cluster/test_fifo_equivalence.cpp) and to the
+//                  per-job choose_machine walk
+//                  (tests/condor/test_autocluster.cpp).
 //   BatchStrategy  CASE/BEMPS-style batched admission (SNIPPETS.md
 //                  Snippet 1): drain up to batch_size jobs, build the
 //                  job x (node, device) candidate matrix, solve the whole
@@ -145,7 +150,8 @@ void deduct_from_ad(classad::ClassAd& machine, const classad::ClassAd& job,
 /// Chooses one machine for `job_ad` among those matching both ways, per
 /// `order` (kRandom draws exactly one rng.index per call with a nonempty
 /// candidate set; kBestRank breaks ties toward the lowest index). Returns
-/// nullopt when nothing matches.
+/// nullopt when nothing matches. The per-job reference the autocluster
+/// walk must agree with, and its path when a machine ad reads the job.
 [[nodiscard]] std::optional<std::size_t> choose_machine(
     const classad::ClassAd& job_ad,
     const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,

@@ -120,6 +120,15 @@ std::vector<DeviceView> SharingAwareScheduler::device_views(
   return views;
 }
 
+const classad::ExprPtr& SharingAwareScheduler::pinned_requirements(
+    NodeId node) {
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= pinned_requirements_.size()) pinned_requirements_.resize(i + 1);
+  classad::ExprPtr& tree = pinned_requirements_[i];
+  if (tree == nullptr) tree = classad::parse(condor::pinned_requirements(node));
+  return tree;
+}
+
 void SharingAwareScheduler::pre_cycle() {
   ++stats_.runs;
 
@@ -156,8 +165,7 @@ void SharingAwareScheduler::pre_cycle() {
 
   auto publish_pin = [&](JobId job, NodeId node,
                          std::optional<DeviceId> device) {
-    schedd_.qedit_expr(job, condor::kAttrRequirements,
-                       condor::pinned_requirements(node));
+    schedd_.qedit(job, condor::kAttrRequirements, pinned_requirements(node));
     schedd_.qedit(job, condor::kAttrPinnedNode,
                   classad::make_literal(
                       classad::Value::string(condor::machine_name(node))));

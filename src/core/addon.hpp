@@ -17,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "condor/ads.hpp"
 #include "condor/collector.hpp"
@@ -83,6 +84,9 @@ class SharingAwareScheduler {
   /// Builds device views from the collector's machine ads, net of pins.
   [[nodiscard]] std::vector<DeviceView> device_views(
       const std::vector<condor::JobRecord>& pinned_pending) const;
+  /// condor::pinned_requirements(node), parsed once per node and shared
+  /// by every job pinned there.
+  const classad::ExprPtr& pinned_requirements(NodeId node);
 
   condor::Schedd& schedd_;
   condor::Collector& collector_;
@@ -90,6 +94,7 @@ class SharingAwareScheduler {
   AddonConfig config_;
   /// Jobs we have pinned that are still pending dispatch.
   std::map<JobId, DeviceAddress> pins_;
+  std::vector<classad::ExprPtr> pinned_requirements_;  // by node id
   AddonStats stats_;
 };
 

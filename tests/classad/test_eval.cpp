@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "classad/classad.hpp"
 #include "classad/parser.hpp"
 
@@ -137,6 +139,72 @@ TEST(Eval, UnknownFunctionIsError) {
 
 TEST(Eval, TernaryWithUndefinedCondition) {
   EXPECT_TRUE(eval_src("nope ? 1 : 2").is_undefined());
+}
+
+TEST(Eval, AndShortCircuitsOnFalse) {
+  // The right side is a self-referencing attribute (error if evaluated)
+  // and never runs; 0 and 0.0 decide `&&` the same way.
+  ClassAd ad;
+  ad.insert_expr("loop", "loop + 1");
+  EXPECT_FALSE(eval_src("false && loop", &ad).as_boolean());
+  EXPECT_FALSE(eval_src("0 && loop", &ad).as_boolean());
+  EXPECT_FALSE(eval_src("0.0 && loop", &ad).as_boolean());
+  EXPECT_TRUE(eval_src("true && loop", &ad).is_error());
+}
+
+TEST(Eval, OrShortCircuitsOnTrue) {
+  EXPECT_TRUE(eval_src("true || error").as_boolean());
+  EXPECT_TRUE(eval_src("1 || error").as_boolean());
+  EXPECT_TRUE(eval_src("false || error").is_error());
+  // Undefined and error on the left still consult the right side.
+  EXPECT_TRUE(eval_src("undefined || true").as_boolean());
+  EXPECT_FALSE(eval_src("undefined && false").as_boolean());
+  EXPECT_TRUE(eval_src("error && true").is_error());
+}
+
+TEST(Eval, IntegerOverflowIsError) {
+  EXPECT_TRUE(eval_src("9223372036854775807 + 1").is_error());
+  EXPECT_TRUE(eval_src("-9223372036854775807 - 2").is_error());
+  EXPECT_TRUE(eval_src("9223372036854775807 * 2").is_error());
+  EXPECT_TRUE(eval_src("(-9223372036854775807 - 1) / -1").is_error());
+  EXPECT_TRUE(eval_src("(-9223372036854775807 - 1) % -1").is_error());
+  EXPECT_TRUE(eval_src("-(-9223372036854775807 - 1)").is_error());
+  // The edges themselves are fine.
+  EXPECT_EQ(eval_src("9223372036854775806 + 1").as_integer(), INT64_MAX);
+  EXPECT_EQ(eval_src("-9223372036854775807 - 1").as_integer(), INT64_MIN);
+  EXPECT_EQ(eval_src("(-9223372036854775807 - 1) / 1").as_integer(), INT64_MIN);
+  EXPECT_EQ(eval_src("7 % -1").as_integer(), 0);
+}
+
+TEST(Eval, RealToIntegerOutOfRangeIsError) {
+  EXPECT_TRUE(eval_src("int(1e999)").is_error());
+  EXPECT_TRUE(eval_src("int(-1e999)").is_error());
+  EXPECT_TRUE(eval_src("int(1e999 - 1e999)").is_error());  // NaN
+  EXPECT_TRUE(eval_src("floor(pow(10, 400))").is_error());
+  EXPECT_TRUE(eval_src("ceiling(1e19)").is_error());
+  EXPECT_TRUE(eval_src("round(1e300)").is_error());
+  EXPECT_EQ(eval_src("int(-2.5)").as_integer(), -2);
+  EXPECT_EQ(eval_src("round(-2.5)").as_integer(), -3);
+  EXPECT_EQ(eval_src("floor(-9.2233720368547758e18)").as_integer(), INT64_MIN);
+}
+
+TEST(Eval, MinMaxKeepExactIntegers) {
+  // Compared as doubles, but the winning integer comes back unrounded.
+  EXPECT_EQ(eval_src("max(9223372036854775807, 1)").as_integer(), INT64_MAX);
+  EXPECT_EQ(eval_src("min(9007199254740993, 9007199254740995)").as_integer(),
+            9007199254740993);
+}
+
+TEST(Eval, EvalIntegerRejectsUnrepresentableReals) {
+  ClassAd ad;
+  ad.insert_real("huge", 1e300);
+  ad.insert_expr("inf", "1e999");
+  ad.insert_expr("nan", "1e999 - 1e999");
+  ad.insert_real("fine", -3.7);
+  EXPECT_FALSE(ad.eval_integer("huge").has_value());
+  EXPECT_FALSE(ad.eval_integer("inf").has_value());
+  EXPECT_FALSE(ad.eval_integer("nan").has_value());
+  EXPECT_EQ(ad.eval_integer("fine"), -3);
 }
 
 TEST(Eval, PaperValueFunctionExpression) {

@@ -107,7 +107,9 @@ TEST(Service, WindowAccountingAddsUp) {
   // Windows index contiguously and tile [0, horizon] then the drain.
   for (std::size_t i = 0; i < r.windows.size(); ++i) {
     EXPECT_EQ(r.windows[i].index, i);
-    if (i > 0) EXPECT_DOUBLE_EQ(r.windows[i].t_start, r.windows[i - 1].t_end);
+    if (i > 0) {
+      EXPECT_DOUBLE_EQ(r.windows[i].t_start, r.windows[i - 1].t_end);
+    }
   }
 }
 

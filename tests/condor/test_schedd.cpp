@@ -110,6 +110,41 @@ TEST_F(ScheddTest, TerminalCallbackFires) {
   EXPECT_EQ(terminal, (std::vector<JobId>{1, 2}));
 }
 
+TEST_F(ScheddTest, PendingKeepsFifoPositionAcrossTransitions) {
+  for (const JobId id : std::vector<JobId>{5, 3, 8, 1}) {
+    schedd_.submit(id, simple_ad());
+  }
+  schedd_.mark_matched(3, 0);
+  schedd_.mark_matched(8, 0);
+  EXPECT_EQ(schedd_.pending(), (std::vector<JobId>{5, 1}));
+  EXPECT_EQ(schedd_.pending_count(), 2u);
+  // A refused dispatch and a requeue both return to the original slot.
+  schedd_.release_match(8);
+  schedd_.mark_running(3);
+  schedd_.requeue(3, simple_ad());
+  EXPECT_EQ(schedd_.pending(), (std::vector<JobId>{5, 3, 8, 1}));
+  schedd_.mark_matched(5, 0);
+  schedd_.mark_failed(5);
+  EXPECT_EQ(schedd_.pending(), (std::vector<JobId>{3, 8, 1}));
+  EXPECT_EQ(schedd_.pending_count(), 3u);
+}
+
+TEST_F(ScheddTest, AdChangesRefreshSignatureAndPriority) {
+  schedd_.submit(1, simple_ad());
+  schedd_.submit(2, simple_ad());
+  EXPECT_EQ(schedd_.record(1).signature, schedd_.record(2).signature);
+  EXPECT_EQ(schedd_.record(1).prio, 0);
+  schedd_.qedit_expr(1, "Requirements",
+                     "TARGET.PhiFreeMemory >= MY.RequestPhiMemory");
+  schedd_.qedit_expr(1, "JobPrio", "2 + 1");
+  EXPECT_NE(schedd_.record(1).signature, schedd_.record(2).signature);
+  EXPECT_EQ(schedd_.record(1).prio, 3);
+  schedd_.mark_matched(1, 0);
+  schedd_.requeue(1, simple_ad());
+  EXPECT_EQ(schedd_.record(1).signature, schedd_.record(2).signature);
+  EXPECT_EQ(schedd_.record(1).prio, 0);
+}
+
 TEST_F(ScheddTest, UnknownJobThrows) {
   EXPECT_THROW((void)schedd_.record(9), std::invalid_argument);
   EXPECT_FALSE(schedd_.known(9));
