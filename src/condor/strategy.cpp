@@ -120,17 +120,9 @@ class CandidateCache {
   };
 
   Cluster& find_or_add(const JobRecord& rec) {
-    // Queue neighbours usually share a shape: try the last cluster first.
-    if (last_ < clusters_.size() &&
-        clusters_[last_].signature == rec.signature) {
-      return clusters_[last_];
-    }
     std::vector<std::size_t>& bucket = by_hash_[rec.signature.hash];
     for (const std::size_t c : bucket) {
-      if (clusters_[c].signature == rec.signature) {
-        last_ = c;
-        return clusters_[c];
-      }
+      if (clusters_[c].signature == rec.signature) return clusters_[c];
     }
     Cluster cluster;
     cluster.signature = rec.signature;
@@ -142,8 +134,7 @@ class CandidateCache {
       }
     }
     cluster.seen = touched_.size();
-    last_ = clusters_.size();
-    bucket.push_back(last_);
+    bucket.push_back(clusters_.size());
     clusters_.push_back(std::move(cluster));
     return clusters_.back();
   }
@@ -152,7 +143,6 @@ class CandidateCache {
   std::vector<Cluster> clusters_;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash_;
   std::vector<std::size_t> touched_;  ///< machines claimed from, in order
-  std::size_t last_ = 0;
 };
 
 /// The paper's FIFO walk over autoclusters. Each job still draws its own
@@ -556,12 +546,9 @@ std::vector<JobId> ordered_pending(const Schedd& schedd,
   // evaluates JobPrio once per ad change (JobRecord::prio).
   std::vector<std::pair<std::int64_t, JobId>> ordered;
   ordered.reserve(pending.size());
-  bool uniform = true;
   for (const JobId id : pending) {
     ordered.emplace_back(schedd.record(id).prio, id);
-    uniform = uniform && ordered.back().first == ordered.front().first;
   }
-  if (uniform) return pending;  // already in FIFO order
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
   pending.clear();
