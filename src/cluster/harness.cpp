@@ -213,14 +213,13 @@ void Harness::submit(const workload::JobSpec& job) {
   PHISCHED_REQUIRE(job.devices_req >= 1 &&
                        job.devices_req <= config_.node_hw.phi_devices,
                    "job's gang does not fit one node's devices");
-  PHISCHED_REQUIRE(specs_.find(job.id) == specs_.end(),
-                   "harness: duplicate job id");
+  const bool fresh = specs_.try_emplace(job.id, job).second;
+  PHISCHED_REQUIRE(fresh, "harness: duplicate job id");
 
   // Submitting into a drained harness re-opens the run: the negotiator
   // (stopped by the terminal hook) must be re-armed, and any finalized
   // result is stale.
   const bool resume = started_ && complete();
-  specs_.emplace(job.id, job);
   total_jobs_ += 1;
   final_.reset();
 

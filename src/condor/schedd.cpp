@@ -29,15 +29,15 @@ const char* job_state_name(JobState s) {
 }
 
 void Schedd::submit(JobId id, classad::ClassAd ad) {
-  PHISCHED_REQUIRE(jobs_.find(id) == jobs_.end(), "submit: duplicate job id");
-  JobRecord rec;
+  const auto [it, fresh] = jobs_.try_emplace(id);
+  PHISCHED_REQUIRE(fresh, "submit: duplicate job id");
+  JobRecord& rec = it->second;
   rec.id = id;
   rec.ad = std::move(ad);
   rec.submit_time = sim_.now();
   rec.fifo_index = fifo_.size();
   note_ad_change(rec);
   pending_fifo_.insert(pending_fifo_.end(), rec.fifo_index);
-  jobs_.emplace(id, std::move(rec));
   fifo_.push_back(id);
   if (obs_.rec != nullptr) obs_.jobs_submitted->inc();
 }
