@@ -1,6 +1,5 @@
 #include "classad/value.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,8 +8,11 @@ namespace phisched::classad {
 
 namespace {
 
+// ASCII folding, as std::tolower does in the "C" locale the program runs
+// in, without a locale lookup per character: attribute-name comparison
+// (iless) sits on every ClassAd lookup.
 char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
 /// Outcome of a tri-state comparison: LT/EQ/GT or not comparable.
