@@ -110,14 +110,6 @@ struct ExperimentConfig {
   /// the instrumented sites then cost one null check each.
   bool telemetry = false;
 
-  /// Parallel event engine: > 1 runs the cluster on a
-  /// sim::ShardedSimulator with this many shards (nodes are partitioned
-  /// node_id % shards), executing node-local event chains on the shared
-  /// thread pool between conservative barriers. Guaranteed bit-identical
-  /// to the sequential engine for every config and shard count — this
-  /// knob trades nothing but wall-clock. 0 or 1 = sequential (default).
-  std::size_t parallel_shards = 0;
-
   /// On-failure retries: a job killed by COSMIC's container (or the OOM
   /// killer) is requeued up to this many times instead of failing.
   int max_retries = 0;

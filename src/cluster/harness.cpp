@@ -13,7 +13,6 @@
 #include "condor/negotiator.hpp"
 #include "core/addon.hpp"
 #include "obs/recorder.hpp"
-#include "sim/sharded.hpp"
 #include "sim/timer.hpp"
 
 namespace phisched::cluster {
@@ -27,26 +26,14 @@ namespace {
          c == StackConfig::kMCCBestFit || c == StackConfig::kMCCOracle;
 }
 
-/// Engine selection: parallel_shards > 1 runs the sharded engine, which
-/// is bit-identical to the sequential one for every config (the
-/// equivalence suite pins this), so results never depend on the choice.
-[[nodiscard]] std::unique_ptr<Simulator> make_engine(
-    const ExperimentConfig& config) {
-  if (config.parallel_shards > 1) {
-    return std::make_unique<ShardedSimulator>(config.parallel_shards);
-  }
-  return std::make_unique<Simulator>();
-}
-
 }  // namespace
 
 Harness::Harness(const ExperimentConfig& config)
     : config_(config),
       rng_(config.seed),
-      sim_(make_engine(config)),
-      schedd_(*sim_),
+      schedd_(sim_),
       collector_(config.ad_update_interval > 0.0
-                     ? condor::Collector(*sim_, config.ad_update_interval)
+                     ? condor::Collector(sim_, config.ad_update_interval)
                      : condor::Collector()) {
   PHISCHED_REQUIRE(config_.node_count > 0, "experiment: need nodes");
   PHISCHED_REQUIRE(config_.dispatch_latency >= 0.0 &&
@@ -86,7 +73,7 @@ void Harness::build_nodes() {
 
   for (NodeId n = 0; n < static_cast<NodeId>(config_.node_count); ++n) {
     nodes_.push_back(std::make_unique<Node>(
-        *sim_, n, nc, rng_.child("node" + std::to_string(n))));
+        sim_, n, nc, rng_.child("node" + std::to_string(n))));
     collector_.advertise(n, [this, n] {
       return nodes_[static_cast<std::size_t>(n)]->machine_ad();
     });
@@ -112,7 +99,7 @@ void Harness::build_condor() {
   ncfg.order = condor::MachineOrder::kRandom;
   ncfg.negotiation = config_.negotiation;
   negotiator_ = std::make_unique<condor::Negotiator>(
-      *sim_, schedd_, collector_,
+      sim_, schedd_, collector_,
       [this](JobId job, NodeId node) { return dispatch(job, node); }, ncfg,
       rng_.child("negotiator"));
   if (recorder_ != nullptr) {
@@ -150,9 +137,7 @@ void Harness::build_condor() {
   schedd_.set_on_terminal([this](const condor::JobRecord& rec) {
     // The user observer runs first, while the record is fresh, so a
     // service layer can stream per-job wait/turnaround samples the
-    // moment they exist. Terminal transitions happen on the global lane
-    // (post_global), so the observer fires in the same deterministic
-    // order on every engine and shard count.
+    // moment they exist.
     if (terminal_observer_ != nullptr) terminal_observer_(rec);
     if (complete()) {
       negotiator_->stop();
@@ -166,11 +151,11 @@ void Harness::ensure_started() {
   started_ = true;
   // Trigger an immediate first negotiation so the cluster does not sit
   // idle for one full interval (Condor negotiates on submission).
-  sim_->schedule_in(0.0, [this] { negotiator_->run_cycle(); });
+  sim_.schedule_in(0.0, [this] { negotiator_->run_cycle(); });
   negotiator_->start();
   if (config_.sample_interval > 0.0) {
     sampler_ = std::make_unique<PeriodicTimer>(
-        *sim_, config_.sample_interval, [this] { take_sample(); });
+        sim_, config_.sample_interval, [this] { take_sample(); });
   }
 }
 
@@ -184,7 +169,7 @@ void Harness::take_sample() {
     }
   }
   samples_.emplace_back(
-      sim_->now(),
+      sim_.now(),
       total > 0 ? static_cast<double>(busy) / static_cast<double>(total)
                 : 0.0);
 }
@@ -223,7 +208,7 @@ void Harness::submit(const workload::JobSpec& job) {
   total_jobs_ += 1;
   final_.reset();
 
-  if (job.submit_time <= sim_->now()) {
+  if (job.submit_time <= sim_.now()) {
     schedd_.submit(job.id, condor::make_job_ad(job, job_requirements_));
   } else {
     // Dynamic arrival (the paper's "dynamic scenario with continuously
@@ -232,13 +217,13 @@ void Harness::submit(const workload::JobSpec& job) {
     // re-reading specs_ at fire time would silently pick up whatever a
     // later mutation (e.g. a retry's memory boost on a resubmitted id)
     // left there instead of what this call submitted.
-    sim_->schedule_at(job.submit_time, [this, spec = job] {
+    sim_.schedule_at(job.submit_time, [this, spec = job] {
       schedd_.submit(spec.id, condor::make_job_ad(spec, job_requirements_));
     });
   }
 
   if (resume) {
-    sim_->schedule_in(0.0, [this] { negotiator_->run_cycle(); });
+    sim_.schedule_in(0.0, [this] { negotiator_->run_cycle(); });
     negotiator_->start();
     if (sampler_ != nullptr) sampler_->start();
   }
@@ -250,19 +235,19 @@ void Harness::submit(const workload::JobSet& jobs) {
 
 bool Harness::step() {
   ensure_started();
-  return sim_->step();
+  return sim_.step();
 }
 
 std::size_t Harness::run_until(SimTime t) {
   ensure_started();
-  return sim_->run_until(t);
+  return sim_.run_until(t);
 }
 
-std::size_t Harness::run_for(SimTime dt) { return run_until(sim_->now() + dt); }
+std::size_t Harness::run_for(SimTime dt) { return run_until(sim_.now() + dt); }
 
 ExperimentResult Harness::run_to_completion() {
   ensure_started();
-  sim_->run();
+  sim_.run();
   PHISCHED_CHECK(
       complete(),
       "experiment deadlock: " + std::to_string(schedd_.pending_count()) +
@@ -270,7 +255,7 @@ ExperimentResult Harness::run_to_completion() {
   return result();
 }
 
-SimTime Harness::now() const { return sim_->now(); }
+SimTime Harness::now() const { return sim_.now(); }
 
 bool Harness::complete() const {
   return schedd_.completed_count() + schedd_.failed_count() == total_jobs_;
@@ -338,17 +323,10 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
     if (pinned.has_value()) devices.push_back(static_cast<DeviceId>(*pinned));
   }
 
-  // Job completion crosses from node-local machinery back into the
-  // cluster-wide scheduler state, so it travels as a global message: the
-  // sharded engine applies it at the deterministic merge point, the
-  // sequential engine inline (`s` by value — the JobRun's spec reference
-  // must not outlive the callback).
   auto run = std::make_unique<JobRun>(
-      *sim_, spec, node.middleware(), devices,
+      sim_, spec, node.middleware(), devices,
       [this, node_id](const workload::JobSpec& s, bool success) {
-        sim_->post_global([this, spec = s, node_id, success] {
-          on_job_done(spec, node_id, success);
-        });
+        on_job_done(s, node_id, success);
       });
   node.claim_slot();
   JobRun* raw = run.get();
@@ -356,16 +334,10 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
   // previous run, which holds no pending events by now.
   runs_[job_id] = std::move(run);
   // Shadow/starter latency: transfer the job and spawn it at the node.
-  // The arrival is node-local work (affinity = the node), while the
-  // running-state transition belongs to the schedd — posted globally so
-  // the sharded engine records it at this event's time, in this order.
-  sim_->schedule_in(
-      config_.dispatch_latency,
-      [this, job_id, raw] {
-        sim_->post_global([this, job_id] { schedd_.mark_running(job_id); });
-        raw->arrive();
-      },
-      /*affinity=*/node_id);
+  sim_.schedule_in(config_.dispatch_latency, [this, job_id, raw] {
+    schedd_.mark_running(job_id);
+    raw->arrive();
+  });
   return true;
 }
 
@@ -405,7 +377,7 @@ ExperimentResult Harness::gather(SimTime until) const {
   r.jobs_failed = schedd_.failed_count();
   r.negotiation_cycles = negotiator_->stats().cycles;
   r.matches = negotiator_->stats().matches;
-  r.events_processed = sim_->events_processed();
+  r.events_processed = sim_.events_processed();
   if (addon_ != nullptr) r.addon_pins = addon_->stats().pins;
 
   double util_sum = 0.0;
@@ -477,7 +449,7 @@ void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
 ExperimentResult Harness::snapshot() const {
   // Mid-run horizon: the current clock (>= every instrument's last
   // update). At completion this coincides with the makespan.
-  const SimTime until = sim_->now();
+  const SimTime until = sim_.now();
   ExperimentResult r = gather(until);
   if (recorder_ != nullptr) {
     // Finalize a COPY of the recorder: close any open oversubscription

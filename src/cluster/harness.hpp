@@ -119,16 +119,14 @@ class Harness {
 
   /// Observer invoked on every terminal job transition (completed or
   /// failed) with the job's final record — the hook the service mode's
-  /// SLA telemetry streams wait/turnaround samples from. Runs at a
-  /// deterministic point on both engines. Pass nullptr to clear.
+  /// SLA telemetry streams wait/turnaround samples from. Pass nullptr to
+  /// clear.
   void set_terminal_observer(
       std::function<void(const condor::JobRecord&)> observer);
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   /// Power-user access to the event loop (e.g. to interleave custom
   /// events with the cluster's); scheduling into the past is rejected.
-  /// A sim::ShardedSimulator when config.parallel_shards > 1, the
-  /// sequential engine otherwise — same surface, bit-identical behaviour.
-  [[nodiscard]] Simulator& simulator() { return *sim_; }
+  [[nodiscard]] Simulator& simulator() { return sim_; }
 
   // -- Results -------------------------------------------------------
 
@@ -171,9 +169,8 @@ class Harness {
 
   ExperimentConfig config_;
   Rng rng_;
-  /// The engine, chosen by config_.parallel_shards (0/1 = sequential).
   /// Declared before every component that captures a Simulator&.
-  std::unique_ptr<Simulator> sim_;
+  Simulator sim_;
   condor::Schedd schedd_;
   condor::Collector collector_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -12,17 +12,15 @@
 // Structure (after Jeongseob's HotCloud'12 dynamic-VM-scheduler: a
 // collector poll loop feeding a scheduler decision thread, here folded
 // into simulated time): a self-scheduling arrival chain on the
-// simulator's global lane offers each job to the AdmissionController at
+// simulator offers each job to the AdmissionController at
 // its arrival instant; admitted jobs enter the Harness; a terminal
 // observer streams each finished job's wait/turnaround into P² quantile
 // estimators; window boundaries close an SLA row and reset the windowed
 // estimators.
 //
 // Determinism contract: a Service run is a pure function of its config
-// (seed included) — bit-identical across repeats and across
-// parallel_shards settings, because every service event lives on the
-// global lane and all SLA samples are taken at deterministic merge
-// points. tests/cluster/test_service.cpp pins this.
+// (seed included) — bit-identical across repeats.
+// tests/cluster/test_service.cpp pins this.
 #pragma once
 
 #include <functional>

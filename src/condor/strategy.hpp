@@ -26,7 +26,7 @@
 // Determinism contract: a strategy's decisions are a pure function of the
 // cycle snapshot (machine ads + pending queue) and the cycle's RNG draws.
 // No wall clock, no pointer identity, no hash order — bit-identical across
-// repeats and across --parallel-shards.
+// repeats.
 #pragma once
 
 #include <cstddef>

@@ -6,13 +6,6 @@
 // (values pre-formatted by the emitter with json_number for determinism).
 // The log preserves emission order, which is deterministic for a given
 // seeded run — the golden-file tests rely on that.
-//
-// Emission order is also why the log is not simply made thread-safe with
-// a lock: appends racing from worker threads would land in a schedule-
-// dependent order. Instead, a parallel engine installs a per-thread
-// ThreadSink that captures each emit; the engine later replays the
-// captured events into the log (via append) in its deterministic merge
-// order, so parallel runs produce byte-identical event exports.
 #pragma once
 
 #include <initializer_list>
@@ -34,25 +27,8 @@ struct Event {
 
 class EventLog {
  public:
-  /// Per-thread emission capture hook (see sim::ShardedSimulator). While
-  /// installed on a thread, that thread's emit() calls are handed to the
-  /// sink instead of being appended; the sink owner is responsible for
-  /// replaying them with append() in a deterministic order.
-  class ThreadSink {
-   public:
-    virtual ~ThreadSink() = default;
-    virtual void deferred_emit(EventLog& log, Event event) = 0;
-  };
-
-  /// Installs `sink` for the calling thread (nullptr uninstalls) and
-  /// returns the previously installed sink so scopes can nest.
-  static ThreadSink* set_thread_sink(ThreadSink* sink);
-
   void emit(SimTime t, std::string type,
             std::initializer_list<std::pair<std::string, std::string>> fields);
-
-  /// Appends an already-built event — the replay half of ThreadSink.
-  void append(Event event) { events_.push_back(std::move(event)); }
 
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -143,19 +142,7 @@ struct MetricsSnapshot {
 
 class Registry {
  public:
-  Registry() = default;
-  /// Copyable (Harness::snapshot copies the whole Recorder); the source
-  /// is locked during the copy so a copy taken while worker threads are
-  /// quiescent-but-attached is well-defined.
-  Registry(const Registry& other);
-  Registry& operator=(const Registry& other);
-
   /// Get-or-create; references stay valid for the registry's lifetime.
-  /// The name lookup is mutex-guarded: the sharded engine's workers may
-  /// lazily create instruments concurrently (e.g. phi::Device's per-
-  /// container series). The returned instruments themselves are NOT
-  /// locked — each is only ever mutated by the component that owns it,
-  /// which lives on exactly one shard.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   TimeSeriesGauge& series(const std::string& name);
@@ -170,7 +157,6 @@ class Registry {
   [[nodiscard]] MetricsSnapshot snapshot(SimTime until) const;
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, TimeSeriesGauge> series_;

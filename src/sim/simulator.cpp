@@ -12,10 +12,10 @@ void EventHandle::cancel() {
   // A null fn means the event already fired (cancel-from-within-own-
   // callback); its live count was consumed when it was popped.
   if (rec->fn != nullptr) {
-    PHISCHED_DCHECK(rec->owner->live_.load(std::memory_order_relaxed) > 0,
+    PHISCHED_DCHECK(rec->owner->live_ > 0,
                     "live-event counter underflow cancelling event seq=",
                     rec->seq, " t=", rec->time);
-    rec->owner->live_.fetch_sub(1, std::memory_order_relaxed);
+    --rec->owner->live_;
   }
   rec->cancelled = true;
 }
@@ -40,27 +40,15 @@ EventHandle Simulator::schedule_at(SimTime t, Callback fn) {
   rec->seq = next_seq_++;
   rec->fn = std::move(fn);
   rec->owner = this;
-  live_.fetch_add(1, std::memory_order_relaxed);
+  ++live_;
   heap_.push_back(rec);
   std::push_heap(heap_.begin(), heap_.end(), later);
   return EventHandle(rec);
 }
 
-EventHandle Simulator::schedule_at(SimTime t, Callback fn,
-                                   AffinityKey /*affinity*/) {
-  // The sequential engine has no partitions; the tag is advisory.
-  return schedule_at(t, std::move(fn));
-}
-
 EventHandle Simulator::schedule_in(SimTime delay, Callback fn) {
   PHISCHED_REQUIRE(delay >= 0.0, "schedule_in: negative delay");
   return schedule_at(now() + delay, std::move(fn));
-}
-
-EventHandle Simulator::schedule_in(SimTime delay, Callback fn,
-                                   AffinityKey affinity) {
-  PHISCHED_REQUIRE(delay >= 0.0, "schedule_in: negative delay");
-  return schedule_at(now() + delay, std::move(fn), affinity);
 }
 
 void Simulator::skim() {
@@ -81,7 +69,7 @@ bool Simulator::step() {
                   " seq=", rec->seq, " now=", now_);
   now_ = rec->time;
   ++processed_;
-  live_.fetch_sub(1, std::memory_order_relaxed);
+  --live_;
   auto fn = std::move(rec->fn);
   rec->fn = nullptr;  // marks the record as fired for EventHandle::pending
   fn();

@@ -45,15 +45,6 @@ TEST(Service, BitIdenticalAcrossRepeats) {
   EXPECT_NE(run_to_report(other), a) << "seed must matter";
 }
 
-TEST(Service, BitIdenticalAcrossParallelShards) {
-  // The whole service layer lives on the simulator's global lane, so
-  // the sharded engine must replay it exactly.
-  ServiceConfig config = small_service(21, 0.2);
-  const std::string sequential = run_to_report(config);
-  config.cluster.parallel_shards = 2;
-  EXPECT_EQ(run_to_report(config), sequential);
-}
-
 TEST(Service, OverloadShedsAndP99WaitGrowsMonotonically) {
   ServiceConfig config = small_service(11, 0.5, 480.0);
   config.window_s = 60.0;

@@ -328,8 +328,7 @@ std::optional<BenchReport> load_report(const std::string& path) {
 // ---------------------------------------------------------------------
 
 /// +1: larger is worse (makespan, turnaround, wait, energy, latency).
-/// -1: smaller is worse (utilization, throughput in MiB/s, parallel
-///     speedup).
+/// -1: smaller is worse (utilization, throughput in MiB/s).
 ///  0: informational only.
 int bad_direction(const std::string& metric) {
   const auto contains = [&metric](const char* needle) {
@@ -339,7 +338,7 @@ int bad_direction(const std::string& metric) {
       contains("energy") || contains("latency")) {
     return +1;
   }
-  if (contains("util") || contains("mib_s") || contains("speedup")) return -1;
+  if (contains("util") || contains("mib_s")) return -1;
   return 0;
 }
 

@@ -207,15 +207,14 @@ namespace {
 /// are correctness bugs, not style. core/ joined the list with the
 /// interference-aware add-on: its device views and bandwidth trims pick
 /// placements, so they carry the same bit-identical promise. Files named
-/// sharded*, strategy*, or batch* qualify wherever they live — the
-/// parallel engine's merge (sim/sharded*), the matchmaking strategies
-/// (condor/strategy*), and the batch packer (knapsack/batch*) all promise
-/// bit-identical decisions from a given snapshot, so moving such a file
-/// out of its directory must not drop it from the lint's scope.
+/// strategy* or batch* qualify wherever they live — the matchmaking
+/// strategies (condor/strategy*) and the batch packer (knapsack/batch*)
+/// both promise bit-identical decisions from a given snapshot, so moving
+/// such a file out of its directory must not drop it from the lint's
+/// scope.
 bool path_is_decision(const fs::path& p) {
   const std::string stem = p.filename().string();
-  if (stem.rfind("sharded", 0) == 0 || stem.rfind("strategy", 0) == 0 ||
-      stem.rfind("batch", 0) == 0) {
+  if (stem.rfind("strategy", 0) == 0 || stem.rfind("batch", 0) == 0) {
     return true;
   }
   for (const auto& part : p) {

@@ -10,7 +10,7 @@
 //   pattern rules (tools/lint/rules.cpp) — per-file determinism scans:
 //     unordered-iter     iteration over std::unordered_{map,set,...} in a
 //                        decision path (sim/ phi/ cosmic/ condor/ cluster/
-//                        core/, or any file named sharded*/strategy*/batch*)
+//                        core/, or any file named strategy*/batch*)
 //     wall-clock         wall-clock reads (time, clock, system_clock, ...)
 //                        outside bench/ and tools/ harnesses
 //     rng-discipline     randomness outside the seeded-engine plumbing in
