@@ -75,7 +75,7 @@ void Harness::build_nodes() {
     nodes_.push_back(std::make_unique<Node>(
         sim_, n, nc, rng_.child("node" + std::to_string(n))));
     collector_.advertise(n, [this, n] {
-      return nodes_[static_cast<std::size_t>(n)]->machine_ad();
+      return nodes_[static_cast<std::size_t>(n)]->shared_machine_ad();
     });
     if (recorder_ != nullptr) {
       Node& node = *nodes_.back();
@@ -120,7 +120,7 @@ void Harness::build_condor() {
       case StackConfig::kMCCOracle:
         policy = core::make_oracle_lpt_policy();
         addon_config.duration_oracle = [this](JobId id) {
-          return specs_.at(id).profile.total_duration();
+          return solo_durations_.at(id);
         };
         break;
       default:
@@ -187,19 +187,38 @@ std::string Harness::requirements_for_stack() const {
                                    : condor::arbitrary_requirements();
 }
 
+MiB Harness::memory_cap(ThreadCount threads, int devices_req) const {
+  // Every node carries the same cards: the --devices fleet, or
+  // node_hw.phi_devices copies of node_hw.phi.
+  std::vector<MiB> fitting;
+  auto consider = [&](const PhiHardware& hw) {
+    if (threads <= hw.hw_threads()) fitting.push_back(hw.usable_memory_mib());
+  };
+  if (config_.devices.empty()) {
+    for (int d = 0; d < config_.node_hw.phi_devices; ++d) {
+      consider(config_.node_hw.phi);
+    }
+  } else {
+    for (const phi::DeviceCapability& cap : config_.devices) consider(cap.hw);
+  }
+  if (devices_req < 1 || fitting.size() < static_cast<std::size_t>(devices_req)) {
+    return -1;
+  }
+  std::sort(fitting.begin(), fitting.end(), std::greater<>());
+  return fitting[static_cast<std::size_t>(devices_req) - 1];
+}
+
 void Harness::submit(const workload::JobSpec& job) {
-  const MiB usable = config_.node_hw.phi.usable_memory_mib();
-  const ThreadCount hw_threads = config_.node_hw.phi.hw_threads();
-  PHISCHED_REQUIRE(job.mem_req_mib <= usable,
-                   "job does not fit one coprocessor's memory");
-  PHISCHED_REQUIRE(job.threads_req <= hw_threads,
-                   "job does not fit one coprocessor's threads");
   PHISCHED_REQUIRE(job.submit_time >= 0.0, "negative submit time");
-  PHISCHED_REQUIRE(job.devices_req >= 1 &&
-                       job.devices_req <= config_.node_hw.phi_devices,
-                   "job's gang does not fit one node's devices");
-  const bool fresh = specs_.try_emplace(job.id, job).second;
+  PHISCHED_REQUIRE(
+      job.mem_req_mib <= memory_cap(job.threads_req, job.devices_req),
+      "job ", job.id, " does not fit the fleet: it needs ", job.devices_req,
+      " coprocessor(s) on one node, each with ", job.mem_req_mib,
+      " MiB and ", job.threads_req, " threads");
+  const bool fresh =
+      solo_durations_.try_emplace(job.id, job.profile.total_duration()).second;
   PHISCHED_REQUIRE(fresh, "harness: duplicate job id");
+  specs_.emplace(job.id, job);
 
   // Submitting into a drained harness re-opens the run: the negotiator
   // (stopped by the terminal hook) must be re-armed, and any finalized
@@ -235,12 +254,16 @@ void Harness::submit(const workload::JobSet& jobs) {
 
 bool Harness::step() {
   ensure_started();
-  return sim_.step();
+  const bool stepped = sim_.step();
+  finished_runs_.clear();
+  return stepped;
 }
 
 std::size_t Harness::run_until(SimTime t) {
   ensure_started();
-  return sim_.run_until(t);
+  const std::size_t events = sim_.run_until(t);
+  finished_runs_.clear();
+  return events;
 }
 
 std::size_t Harness::run_for(SimTime dt) { return run_until(sim_.now() + dt); }
@@ -248,6 +271,7 @@ std::size_t Harness::run_for(SimTime dt) { return run_until(sim_.now() + dt); }
 ExperimentResult Harness::run_to_completion() {
   ensure_started();
   sim_.run();
+  finished_runs_.clear();
   PHISCHED_CHECK(
       complete(),
       "experiment deadlock: " + std::to_string(schedd_.pending_count()) +
@@ -256,6 +280,12 @@ ExperimentResult Harness::run_to_completion() {
 }
 
 SimTime Harness::now() const { return sim_.now(); }
+
+const Node& Harness::node(NodeId id) const {
+  PHISCHED_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < nodes_.size(),
+                   "harness: bad node id");
+  return *nodes_[static_cast<std::size_t>(id)];
+}
 
 bool Harness::complete() const {
   return schedd_.completed_count() + schedd_.failed_count() == total_jobs_;
@@ -287,6 +317,9 @@ void Harness::set_terminal_observer(
 }
 
 bool Harness::dispatch(JobId job_id, NodeId node_id) {
+  // A negotiation cycle never runs inside a JobRun's callback, so the
+  // runs that finished since the last cycle can go.
+  finished_runs_.clear();
   Node& node = *nodes_[static_cast<std::size_t>(node_id)];
   if (node.free_slots() <= 0) return false;
 
@@ -330,9 +363,8 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
       });
   node.claim_slot();
   JobRun* raw = run.get();
-  // Assignment (not emplace): a retried job replaces its finished
-  // previous run, which holds no pending events by now.
-  runs_[job_id] = std::move(run);
+  const bool fresh = runs_.emplace(job_id, std::move(run)).second;
+  PHISCHED_CHECK(fresh, "harness: job ", job_id, " dispatched twice");
   // Shadow/starter latency: transfer the job and spawn it at the node.
   sim_.schedule_in(config_.dispatch_latency, [this, job_id, raw] {
     schedd_.mark_running(job_id);
@@ -343,31 +375,44 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
 
 void Harness::on_job_done(const workload::JobSpec& spec, NodeId node_id,
                           bool success) {
+  const JobId id = spec.id;
   nodes_[static_cast<std::size_t>(node_id)]->release_slot();
-  if (const auto it = exclusive_claims_of_.find(spec.id);
+  if (const auto it = exclusive_claims_of_.find(id);
       it != exclusive_claims_of_.end()) {
     for (const DeviceAddress& addr : it->second) {
       exclusive_claims_.erase(addr);
     }
     exclusive_claims_of_.erase(it);
   }
+  // `spec` lives in the run, which is still executing this callback: park
+  // the run until a driving call or the next dispatch frees it.
+  const auto run = runs_.find(id);
+  PHISCHED_CHECK(run != runs_.end(), "harness: finished job ", id,
+                 " has no run");
+  finished_runs_.push_back(std::move(run->second));
+  runs_.erase(run);
   if (success) {
-    schedd_.mark_completed(spec.id);
+    specs_.erase(id);
+    schedd_.mark_completed(id);
     return;
   }
-  if (schedd_.record(spec.id).retries < config_.max_retries) {
+  if (schedd_.record(id).retries < config_.max_retries) {
     // Requeue with a boosted declaration: the kill told us the
-    // estimate was too low.
-    workload::JobSpec& stored = specs_.at(spec.id);
-    const MiB usable = config_.node_hw.phi.usable_memory_mib();
+    // estimate was too low. The boost stops at the largest declaration
+    // on the memory grid that the fleet can still place (the knapsack
+    // packs quantized declarations into quantized-down capacities).
+    workload::JobSpec& stored = specs_.at(id);
     const auto boosted = static_cast<MiB>(
         std::llround(static_cast<double>(stored.mem_req_mib) *
                      config_.retry_memory_boost));
-    stored.mem_req_mib = std::min(usable, quantize_up(boosted));
-    schedd_.requeue(spec.id, condor::make_job_ad(stored, job_requirements_));
+    stored.mem_req_mib = std::min(
+        quantize_down(memory_cap(stored.threads_req, stored.devices_req)),
+        quantize_up(boosted));
+    schedd_.requeue(id, condor::make_job_ad(stored, job_requirements_));
     return;
   }
-  schedd_.mark_failed(spec.id);
+  specs_.erase(id);
+  schedd_.mark_failed(id);
 }
 
 ExperimentResult Harness::gather(SimTime until) const {
@@ -399,7 +444,7 @@ ExperimentResult Harness::gather(SimTime until) const {
         util_sum / static_cast<double>(r.per_device_utilization.size());
   }
 
-  for (const auto& [id, _] : specs_) {
+  for (const auto& [id, _] : solo_durations_) {
     // Future arrivals are still in the event queue, not in the schedd.
     if (!schedd_.known(id)) continue;
     const condor::JobRecord& rec = schedd_.record(id);
@@ -436,10 +481,9 @@ void Harness::roll_up(obs::Recorder& rec, const ExperimentResult& r) const {
   // finalization for the same idempotency.
   auto& slowdown = m.histogram("cluster.job_slowdown", 0.0, 20.0, 40);
   slowdown.reset();
-  for (const auto& [id, spec] : specs_) {
+  for (const auto& [id, solo] : solo_durations_) {
     if (!schedd_.known(id)) continue;
     const condor::JobRecord& jrec = schedd_.record(id);
-    const double solo = spec.profile.total_duration();
     if (jrec.finish_time >= 0.0 && solo > 0.0) {
       slowdown.add((jrec.finish_time - jrec.submit_time) / solo);
     }

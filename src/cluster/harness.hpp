@@ -29,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/admission.hpp"
@@ -74,9 +75,11 @@ class Harness {
   /// Enqueues one job. A job with submit_time <= now() enters the queue
   /// immediately; a later submit_time becomes a scheduled arrival (the
   /// paper's "dynamic scenario with continuously arriving jobs"). Every
-  /// job must individually fit one coprocessor (Section III), and ids
-  /// must be unique across the harness's lifetime. Submitting after a
-  /// previous workload drained resumes negotiation automatically.
+  /// job must fit the fleet: a node must carry devices_req coprocessors
+  /// that each hold its declared memory and threads (Section III);
+  /// otherwise submit throws, naming the job. Ids must be unique across
+  /// the harness's lifetime. Submitting after a previous workload
+  /// drained resumes negotiation automatically.
   void submit(const workload::JobSpec& job);
 
   /// Enqueues a whole job set (in order).
@@ -111,6 +114,12 @@ class Harness {
   /// Jobs sitting in the schedd's pending queue right now (submitted,
   /// not yet matched) — the service mode's admission queue depth.
   [[nodiscard]] std::size_t jobs_pending() const;
+  /// Job runs the harness still holds: one per dispatched, not yet
+  /// terminal job, plus runs finished since the last driving call or
+  /// dispatch.
+  [[nodiscard]] std::size_t runs_held() const {
+    return runs_.size() + finished_runs_.size();
+  }
 
   /// Declared-free capacity of every coprocessor (node id, then device
   /// id), from the middleware's reservation ledger — the snapshot the
@@ -124,6 +133,9 @@ class Harness {
   void set_terminal_observer(
       std::function<void(const condor::JobRecord&)> observer);
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
+  /// Read-only views of the stack, for inspection and tests.
+  [[nodiscard]] const Node& node(NodeId id) const;
+  [[nodiscard]] const condor::Schedd& schedd() const { return schedd_; }
   /// Power-user access to the event loop (e.g. to interleave custom
   /// events with the cluster's); scheduling into the past is rejected.
   [[nodiscard]] Simulator& simulator() { return sim_; }
@@ -155,6 +167,10 @@ class Harness {
   void ensure_started();
   void take_sample();
   [[nodiscard]] std::string requirements_for_stack() const;
+  /// Largest per-device memory a job may declare so that one node still
+  /// has `devices_req` coprocessors each holding it and `threads`; -1
+  /// when no node has that many cards with enough threads.
+  [[nodiscard]] MiB memory_cap(ThreadCount threads, int devices_req) const;
   bool dispatch(JobId job_id, NodeId node_id);
   void on_job_done(const workload::JobSpec& spec, NodeId node_id,
                    bool success);
@@ -178,8 +194,17 @@ class Harness {
   std::unique_ptr<core::SharingAwareScheduler> addon_;
   /// requirements_for_stack(), parsed once and shared by every job ad.
   classad::ExprPtr job_requirements_;
-  std::map<JobId, workload::JobSpec> specs_;
-  std::map<JobId, std::unique_ptr<JobRun>> runs_;
+  /// Every submitted job's solo duration, in id order: what gather() and
+  /// roll_up() sum over (in this order, so sums are reproducible) and the
+  /// oracle policy reads. Kept after the job ends; its spec is not.
+  std::map<JobId, double> solo_durations_;
+  /// Specs of jobs not yet terminal (looked up by id only).
+  std::unordered_map<JobId, workload::JobSpec> specs_;
+  /// Runs of dispatched, not yet terminal jobs (looked up by id only).
+  std::unordered_map<JobId, std::unique_ptr<JobRun>> runs_;
+  /// Runs that finished inside their own callback, freed once control is
+  /// back outside the event loop or in the next dispatch.
+  std::vector<std::unique_ptr<JobRun>> finished_runs_;
   std::set<DeviceAddress> exclusive_claims_;
   std::map<JobId, std::vector<DeviceAddress>> exclusive_claims_of_;
   std::size_t total_jobs_ = 0;

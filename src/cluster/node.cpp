@@ -1,6 +1,7 @@
 #include "cluster/node.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "classad/parser.hpp"
 #include "common/check.hpp"
@@ -81,7 +82,34 @@ std::optional<DeviceId> Node::pick_exclusive_device() const {
   return std::nullopt;
 }
 
-classad::ClassAd Node::machine_ad() const {
+void Node::ad_key(std::vector<std::int64_t>& key) const {
+  key.clear();
+  key.push_back(free_slots());
+  for (DeviceId d = 0; d < device_count(); ++d) {
+    key.push_back(middleware_->jobs_on_device(d) == 0 ? 1 : 0);
+    key.push_back(middleware_->unreserved_memory(d));
+    key.push_back(middleware_->unreserved_threads(d));
+    if (device(d).mem_bw_budget() >= 0.0) {
+      key.push_back(
+          std::bit_cast<std::int64_t>(middleware_->unreserved_bandwidth(d)));
+    }
+  }
+}
+
+std::shared_ptr<const classad::ClassAd> Node::shared_machine_ad() const {
+  ad_key(scratch_key_);
+  if (ad_ == nullptr || scratch_key_ != ad_key_) {
+    ad_ = std::make_shared<const classad::ClassAd>(build_machine_ad());
+    ad_key_.swap(scratch_key_);
+  }
+  // A cached ad must equal a fresh build: an advertised input missing
+  // from ad_key() would serve stale state.
+  PHISCHED_DCHECK(ad_->to_string() == build_machine_ad().to_string(),
+                  "Node ", id_, ": memoized machine ad is stale");
+  return ad_;
+}
+
+classad::ClassAd Node::build_machine_ad() const {
   classad::ClassAd ad;
   ad.insert_string(condor::kAttrName, condor::machine_name(id_));
   ad.insert_integer(condor::kAttrTotalSlots, total_slots());

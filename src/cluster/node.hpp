@@ -2,6 +2,7 @@
 // the machine ClassAd it advertises to the collector.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -65,10 +66,28 @@ class Node {
   /// First device with no resident job, or nullopt.
   [[nodiscard]] std::optional<DeviceId> pick_exclusive_device() const;
 
-  /// The ClassAd the node's startd would push to the collector.
-  [[nodiscard]] classad::ClassAd machine_ad() const;
+  /// The ClassAd the node's startd would push to the collector. Built
+  /// only when an advertised input (free slots; per device: idle,
+  /// unreserved memory, threads and, with the bandwidth model on,
+  /// bandwidth) changed since the previous call; otherwise the same
+  /// shared ad is returned. Holders keep the ad they got: a later state
+  /// change builds a new ad and never writes this one.
+  [[nodiscard]] std::shared_ptr<const classad::ClassAd> shared_machine_ad()
+      const;
+
+  /// The current ad by reference; valid until the node's state changes.
+  [[nodiscard]] const classad::ClassAd& machine_ad() const {
+    return *shared_machine_ad();
+  }
+
+  /// Builds the machine ad from scratch, bypassing the memo: the
+  /// reference the memoized ad must equal.
+  [[nodiscard]] classad::ClassAd build_machine_ad() const;
 
  private:
+  /// Writes the advertised inputs of build_machine_ad() into `key`.
+  void ad_key(std::vector<std::int64_t>& key) const;
+
   Simulator& sim_;
   NodeId id_;
   NodeConfig config_;
@@ -76,6 +95,10 @@ class Node {
   std::unique_ptr<phi::PcieSwitch> pcie_switch_;
   std::unique_ptr<cosmic::NodeMiddleware> middleware_;
   int busy_slots_ = 0;
+  // The memoized machine ad and the inputs it was built from.
+  mutable std::shared_ptr<const classad::ClassAd> ad_;
+  mutable std::vector<std::int64_t> ad_key_;
+  mutable std::vector<std::int64_t> scratch_key_;
 };
 
 }  // namespace phisched::cluster

@@ -21,24 +21,20 @@ void Collector::advertise(NodeId node, AdSource source) {
 
 void Collector::withdraw(NodeId node) { sources_.erase(node); }
 
-const classad::ClassAd& Collector::resolve(const Entry& entry) const {
-  if (sim_ == nullptr) {
-    // Always fresh: regenerate every query.
-    entry.cached = entry.source();
-    return *entry.cached;
-  }
+SharedAd Collector::resolve(const Entry& entry) const {
+  // Always fresh: ask the source on every query.
+  if (sim_ == nullptr) return entry.source();
   const SimTime epoch =
       std::floor(sim_->now() / update_interval_) * update_interval_;
-  if (!entry.cached.has_value() || entry.cached_epoch < epoch) {
+  if (entry.cached == nullptr || entry.cached_epoch < epoch) {
     entry.cached = entry.source();
     entry.cached_epoch = epoch;
   }
-  return *entry.cached;
+  return entry.cached;
 }
 
-std::vector<std::pair<NodeId, classad::ClassAd>> Collector::machine_ads()
-    const {
-  std::vector<std::pair<NodeId, classad::ClassAd>> out;
+MachineAds Collector::machine_ads() const {
+  MachineAds out;
   out.reserve(sources_.size());
   for (const auto& [node, entry] : sources_) {
     out.emplace_back(node, resolve(entry));
@@ -46,7 +42,7 @@ std::vector<std::pair<NodeId, classad::ClassAd>> Collector::machine_ads()
   return out;
 }
 
-classad::ClassAd Collector::machine_ad(NodeId node) const {
+SharedAd Collector::machine_ad(NodeId node) const {
   auto it = sources_.find(node);
   PHISCHED_REQUIRE(it != sources_.end(), "Collector: unknown node");
   return resolve(it->second);

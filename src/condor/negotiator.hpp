@@ -6,10 +6,11 @@
 // (see condor/strategy.hpp): the default FifoStrategy walks jobs one at a
 // time exactly like stock Condor; BatchStrategy drains a batch and solves
 // its placement jointly under occupancy thresholds. A successful claim
-// deducts the job's requested resources from the cycle-local copy of the
+// deducts the job's requested resources from a cycle-local copy of the
 // machine ad (so one cycle can pack several jobs onto a node without
-// oversubscribing the advertisement) and hands the (job, node) pair to
-// the dispatch callback, which models the shadow/starter launch path.
+// oversubscribing the advertisement; the collector's shared ad is never
+// written) and hands the (job, node) pair to the dispatch callback,
+// which models the shadow/starter launch path.
 //
 // The optional pre-cycle hook is the integration point for the paper's
 // sharing-aware add-on: it runs right before matchmaking, exactly like the

@@ -132,6 +132,7 @@ void Schedd::mark_completed(JobId id) {
     note_terminal(rec, "job_completed");
   }
   if (on_terminal_) on_terminal_(rec);
+  retire(rec);
 }
 
 void Schedd::mark_failed(JobId id) {
@@ -148,6 +149,14 @@ void Schedd::mark_failed(JobId id) {
     note_terminal(rec, "job_failed");
   }
   if (on_terminal_) on_terminal_(rec);
+  retire(rec);
+}
+
+void Schedd::retire(JobRecord& rec) {
+  // Nothing matches a terminal job again: free its ad and signature and
+  // keep only the compact lifecycle record.
+  rec.ad = classad::ClassAd();
+  rec.signature = classad::MatchSignature();
 }
 
 void Schedd::requeue(JobId id, classad::ClassAd new_ad) {

@@ -3,7 +3,8 @@
 // Jobs are submitted as ClassAds, examined by the negotiator in FIFO
 // order, and may be edited in place with qedit (the mechanism the paper's
 // add-on uses, via condor_qedit, to pin jobs to nodes). The schedd also
-// records the lifecycle timestamps experiments report on.
+// records the lifecycle timestamps experiments report on; a terminal job
+// keeps only that compact record (its ad and signature are dropped).
 #pragma once
 
 #include <functional>
@@ -30,6 +31,8 @@ enum class JobState {
 
 struct JobRecord {
   JobId id = 0;
+  /// The job's ClassAd; emptied once the job is terminal (after the
+  /// terminal hook ran), together with `signature`.
   classad::ClassAd ad;
   JobState state = JobState::kPending;
   NodeId node = -1;  ///< where it was matched/ran
@@ -94,7 +97,9 @@ class Schedd {
     return completed_ + failed_ == jobs_.size();
   }
 
-  /// Invoked after every terminal transition (completed or failed).
+  /// Invoked after every terminal transition (completed or failed),
+  /// while the record still carries the job's ad. The schedd then drops
+  /// the ad and signature; ids, state, node, times and retries stay.
   void set_on_terminal(std::function<void(const JobRecord&)> fn) {
     on_terminal_ = std::move(fn);
   }
@@ -120,6 +125,8 @@ class Schedd {
   };
 
   void note_terminal(const JobRecord& rec, const char* type);
+  /// Frees what only a non-terminal job needs (ad, signature).
+  static void retire(JobRecord& rec);
 
   JobRecord& mutable_record(JobId id);
   /// Moves `rec` into or out of the pending queue.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <unordered_map>
 
@@ -15,13 +16,11 @@ namespace phisched::condor {
 
 namespace {
 
-using Machines = std::vector<std::pair<NodeId, classad::ClassAd>>;
-
 /// Picks one of `candidates` (ascending machine indices, nonempty) per
 /// `order` — the second half of choose_machine.
 std::size_t pick_machine(const classad::ClassAd& job_ad,
                          const std::vector<std::size_t>& candidates,
-                         const Machines& machines, MachineOrder order,
+                         const MachineAds& machines, MachineOrder order,
                          Rng& rng) {
   std::size_t chosen = candidates.front();
   switch (order) {
@@ -34,9 +33,9 @@ std::size_t pick_machine(const classad::ClassAd& job_ad,
       // Strictly-greater updates over candidates in ascending machine
       // order: equal-Rank ties resolve to the lowest node id (the
       // candidate list is ordered by node id).
-      double best_rank = classad::eval_rank(job_ad, machines[chosen].second);
+      double best_rank = classad::eval_rank(job_ad, *machines[chosen].second);
       for (const std::size_t m : candidates) {
-        const double rank = classad::eval_rank(job_ad, machines[m].second);
+        const double rank = classad::eval_rank(job_ad, *machines[m].second);
         if (rank > best_rank) {
           best_rank = rank;
           chosen = m;
@@ -50,7 +49,8 @@ std::size_t pick_machine(const classad::ClassAd& job_ad,
 
 /// Claims machine `m` for pending job `rec`: mark_matched, then dispatch;
 /// a refused dispatch releases the match. Returns true when the job
-/// dispatched (its requests are then deducted from the machine's ad).
+/// dispatched: its requests are then deducted from a copy of the
+/// machine's ad, which replaces the shared one for the rest of the cycle.
 bool claim(MatchCycle& cycle, const JobRecord& rec, std::size_t m,
            CycleOutcome& outcome) {
   auto& [node, machine_ad] = cycle.machines[m];
@@ -61,7 +61,9 @@ bool claim(MatchCycle& cycle, const JobRecord& rec, std::size_t m,
     return false;
   }
   ++outcome.matches;
-  deduct_from_ad(machine_ad, rec.ad, cycle.deduct_custom_resources);
+  auto deducted = std::make_shared<classad::ClassAd>(*machine_ad);
+  deduct_from_ad(*deducted, rec.ad, cycle.deduct_custom_resources);
+  machine_ad = std::move(deducted);
   if (cycle.want_latencies) {
     outcome.match_latencies.push_back(cycle.now - rec.submit_time);
   }
@@ -87,14 +89,14 @@ void match_one(MatchCycle& cycle, JobId job_id, CycleOutcome& outcome) {
 /// reads its TARGET (machine-side evaluation must not see the job).
 class CandidateCache {
  public:
-  explicit CandidateCache(const Machines& machines) : machines_(machines) {}
+  explicit CandidateCache(const MachineAds& machines) : machines_(machines) {}
 
   /// Ascending indices of the machines `rec`'s ad matches both ways.
   const std::vector<std::size_t>& candidates(const JobRecord& rec) {
     Cluster& cluster = find_or_add(rec);
     for (; cluster.seen < touched_.size(); ++cluster.seen) {
       const std::size_t m = touched_[cluster.seen];
-      const bool now = classad::symmetric_match(rec.ad, machines_[m].second);
+      const bool now = classad::symmetric_match(rec.ad, *machines_[m].second);
       if (now == (cluster.match[m] != 0)) continue;
       cluster.match[m] = now ? 1 : 0;
       auto at = std::lower_bound(cluster.candidates.begin(),
@@ -128,7 +130,7 @@ class CandidateCache {
     cluster.signature = rec.signature;
     cluster.match.resize(machines_.size());
     for (std::size_t m = 0; m < machines_.size(); ++m) {
-      if (classad::symmetric_match(rec.ad, machines_[m].second)) {
+      if (classad::symmetric_match(rec.ad, *machines_[m].second)) {
         cluster.match[m] = 1;
         cluster.candidates.push_back(m);
       }
@@ -139,7 +141,7 @@ class CandidateCache {
     return clusters_.back();
   }
 
-  const Machines& machines_;
+  const MachineAds& machines_;
   std::vector<Cluster> clusters_;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash_;
   std::vector<std::size_t> touched_;  ///< machines claimed from, in order
@@ -155,7 +157,7 @@ class FifoStrategy final : public MatchStrategy {
     CycleOutcome outcome;
     const bool per_job = std::any_of(
         cycle.machines.begin(), cycle.machines.end(),
-        [](const auto& machine) { return machine.second.reads_target(); });
+        [](const auto& machine) { return machine.second->reads_target(); });
     if (per_job) {
       for (const JobId job_id : cycle.pending) {
         match_one(cycle, job_id, outcome);
@@ -284,11 +286,10 @@ class BatchStrategy final : public MatchStrategy {
   }
 
  private:
-  [[nodiscard]] static bool matches_somewhere(
-      const classad::ClassAd& job_ad,
-      const std::vector<std::pair<NodeId, classad::ClassAd>>& machines) {
+  [[nodiscard]] static bool matches_somewhere(const classad::ClassAd& job_ad,
+                                              const MachineAds& machines) {
     for (const auto& [node, ad] : machines) {
-      if (classad::symmetric_match(job_ad, ad)) return true;
+      if (classad::symmetric_match(job_ad, *ad)) return true;
     }
     return false;
   }
@@ -296,17 +297,16 @@ class BatchStrategy final : public MatchStrategy {
   /// True when no machine's idle-device occupancy budget could ever hold
   /// this declaration (threads over floor(occ * hw) or memory over
   /// floor(occ-mem * total) everywhere).
-  [[nodiscard]] bool oversized(
-      const classad::ClassAd& job_ad,
-      const std::vector<std::pair<NodeId, classad::ClassAd>>& machines) const {
+  [[nodiscard]] bool oversized(const classad::ClassAd& job_ad,
+                               const MachineAds& machines) const {
     const MiB mem = job_ad.eval_integer(kAttrRequestPhiMemory).value_or(0);
     const auto threads = static_cast<ThreadCount>(
         job_ad.eval_integer(kAttrRequestPhiThreads).value_or(0));
     for (const auto& [node, ad] : machines) {
       const auto hw = static_cast<ThreadCount>(
-          ad.eval_integer(kAttrPhiHwThreads).value_or(240));
-      const MiB total = ad.eval_integer(kAttrPhiTotalMemory)
-                            .value_or(ad.eval_integer(kAttrPhiFreeMemory)
+          ad->eval_integer(kAttrPhiHwThreads).value_or(240));
+      const MiB total = ad->eval_integer(kAttrPhiTotalMemory)
+                            .value_or(ad->eval_integer(kAttrPhiFreeMemory)
                                           .value_or(0));
       const auto thread_cap = static_cast<ThreadCount>(
           config_.occupancy_threads * static_cast<double>(hw));
@@ -326,7 +326,7 @@ class BatchStrategy final : public MatchStrategy {
     std::vector<int> devices_of_machine;
     first_bin_of_machine.reserve(cycle.machines.size());
     for (std::size_t m = 0; m < cycle.machines.size(); ++m) {
-      const classad::ClassAd& ad = cycle.machines[m].second;
+      const classad::ClassAd& ad = *cycle.machines[m].second;
       const auto devices =
           static_cast<int>(ad.eval_integer(kAttrPhiDevices).value_or(1));
       first_bin_of_machine.push_back(problem.bins.size());
@@ -345,7 +345,7 @@ class BatchStrategy final : public MatchStrategy {
     ThreadCount fleet_hw = 0;
     for (const auto& [node, ad] : cycle.machines) {
       fleet_hw = std::max(fleet_hw, static_cast<ThreadCount>(
-          ad.eval_integer(kAttrPhiHwThreads).value_or(240)));
+          ad->eval_integer(kAttrPhiHwThreads).value_or(240)));
     }
     if (fleet_hw <= 0) fleet_hw = 240;
 
@@ -364,7 +364,7 @@ class BatchStrategy final : public MatchStrategy {
                                       job.threads, fleet_hw);
       const auto pinned = job_ad.eval_integer(kAttrPinnedDevice);
       for (std::size_t m = 0; m < cycle.machines.size(); ++m) {
-        const classad::ClassAd& machine_ad = cycle.machines[m].second;
+        const classad::ClassAd& machine_ad = *cycle.machines[m].second;
         if (!classad::symmetric_match(job_ad, machine_ad)) {
           continue;
         }
@@ -401,7 +401,7 @@ class BatchStrategy final : public MatchStrategy {
       const auto [m, device] = bin_addr[placement.bin];
       const JobRecord& rec = cycle.schedd.record(job_id);
       if (rec.state != JobState::kPending) continue;
-      if (!classad::symmetric_match(rec.ad, cycle.machines[m].second)) {
+      if (!classad::symmetric_match(rec.ad, *cycle.machines[m].second)) {
         ++outcome.occupancy_rejected;
         continue;
       }
@@ -572,14 +572,13 @@ void deduct_from_ad(classad::ClassAd& machine, const classad::ClassAd& job,
   }
 }
 
-std::optional<std::size_t> choose_machine(
-    const classad::ClassAd& job_ad,
-    const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,
-    MachineOrder order, Rng& rng) {
+std::optional<std::size_t> choose_machine(const classad::ClassAd& job_ad,
+                                          const MachineAds& machines,
+                                          MachineOrder order, Rng& rng) {
   // Candidate machines whose ads match the job both ways.
   std::vector<std::size_t> candidates;
   for (std::size_t m = 0; m < machines.size(); ++m) {
-    if (classad::symmetric_match(job_ad, machines[m].second)) {
+    if (classad::symmetric_match(job_ad, *machines[m].second)) {
       candidates.push_back(m);
     }
   }

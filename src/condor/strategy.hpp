@@ -10,8 +10,8 @@
 //                  (computed once per autocluster — jobs with equal
 //                  classad::MatchSignature — and refreshed only for
 //                  machines a claim deducted from), one machine chosen
-//                  per MachineOrder, resources deducted from the
-//                  cycle-local ad copy. Bit-identical to the
+//                  per MachineOrder, resources deducted from a
+//                  cycle-local copy of the ad. Bit-identical to the
 //                  pre-refactor negotiator (pinned by
 //                  tests/cluster/test_fifo_equivalence.cpp) and to the
 //                  per-job choose_machine walk
@@ -39,6 +39,7 @@
 #include "classad/classad.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "condor/collector.hpp"
 #include "condor/schedd.hpp"
 #include "knapsack/solver.hpp"
 
@@ -95,14 +96,17 @@ struct NegotiationConfig {
 [[nodiscard]] std::string negotiation_to_string(const NegotiationConfig& c);
 
 /// Everything one negotiation cycle exposes to its strategy. `machines`
-/// is the cycle-local snapshot; strategies deduct claimed resources from
-/// it as they match so one cycle never oversubscribes an advertisement.
+/// is the cycle-local snapshot of the collector's shared ads; strategies
+/// deduct claimed resources as they match so one cycle never
+/// oversubscribes an advertisement. A deduction copies the ad and
+/// replaces the cycle's pointer (copy-on-write): the collector's ad is
+/// never written, and a cycle copies at most once per match.
 struct MatchCycle {
   Schedd& schedd;
   Rng& rng;
   MachineOrder order;
   bool deduct_custom_resources;
-  std::vector<std::pair<NodeId, classad::ClassAd>>& machines;
+  MachineAds& machines;
   /// Pending job ids in priority-then-FIFO order (see ordered_pending).
   const std::vector<JobId>& pending;
   const std::function<bool(JobId, NodeId)>& dispatch;
@@ -153,8 +157,7 @@ void deduct_from_ad(classad::ClassAd& machine, const classad::ClassAd& job,
 /// nullopt when nothing matches. The per-job reference the autocluster
 /// walk must agree with, and its path when a machine ad reads the job.
 [[nodiscard]] std::optional<std::size_t> choose_machine(
-    const classad::ClassAd& job_ad,
-    const std::vector<std::pair<NodeId, classad::ClassAd>>& machines,
+    const classad::ClassAd& job_ad, const MachineAds& machines,
     MachineOrder order, Rng& rng);
 
 [[nodiscard]] std::unique_ptr<MatchStrategy> make_match_strategy(

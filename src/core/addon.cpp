@@ -35,37 +35,50 @@ SharingAwareScheduler::SharingAwareScheduler(
   PHISCHED_REQUIRE(policy_ != nullptr, "SharingAwareScheduler: null policy");
 }
 
+const SharingAwareScheduler::DeviceAttrs& SharingAwareScheduler::device_attrs(
+    DeviceId d) {
+  const auto i = static_cast<std::size_t>(d);
+  while (device_attrs_.size() <= i) {
+    const auto next = static_cast<DeviceId>(device_attrs_.size());
+    device_attrs_.push_back(DeviceAttrs{
+        condor::per_device_memory_attr(next),
+        condor::per_device_hw_threads_attr(next),
+        condor::per_device_free_bw_attr(next),
+        condor::per_device_threads_attr(next)});
+  }
+  return device_attrs_[i];
+}
+
 std::vector<DeviceView> SharingAwareScheduler::device_views(
-    const std::vector<condor::JobRecord>& pinned_pending) const {
+    const std::vector<const condor::JobRecord*>& pinned_pending) {
   std::vector<DeviceView> views;
-  for (const auto& [node, ad] : collector_.machine_ads()) {
+  // The collector's shared ads, read in place.
+  for (const auto& [node, shared] : collector_.machine_ads()) {
+    const classad::ClassAd& ad = *shared;
     const auto device_count =
         ad.eval_integer(condor::kAttrPhiDevices).value_or(0);
     const auto node_hw_threads = static_cast<ThreadCount>(
         ad.eval_integer(condor::kAttrPhiHwThreads).value_or(240));
     for (DeviceId d = 0; d < device_count; ++d) {
+      const DeviceAttrs& attrs = device_attrs(d);
       DeviceView v;
       v.addr = DeviceAddress{node, d};
-      v.free_memory_mib =
-          ad.eval_integer(condor::per_device_memory_attr(d)).value_or(0);
+      v.free_memory_mib = ad.eval_integer(attrs.memory).value_or(0);
       // Heterogeneous fleets advertise each card's geometry; homogeneous
       // ads carry the same value at both levels, so the fallback is the
       // legacy behaviour exactly.
       const auto hw_threads = static_cast<ThreadCount>(
-          ad.eval_integer(condor::per_device_hw_threads_attr(d))
-              .value_or(node_hw_threads));
+          ad.eval_integer(attrs.hw_threads).value_or(node_hw_threads));
       v.hw_threads = hw_threads;
       if (config_.bandwidth_aware) {
         // Absent (contention model off) means unconstrained (-1).
-        v.bw_budget =
-            ad.eval_real(condor::per_device_free_bw_attr(d)).value_or(-1.0);
+        v.bw_budget = ad.eval_real(attrs.free_bw).value_or(-1.0);
       }
       if (config_.deduct_resident_threads) {
         // PhiFreeThreads = hw - resident declared threads (may be
         // negative when packs have stacked up).
         const auto free_threads = static_cast<ThreadCount>(
-            ad.eval_integer(condor::per_device_threads_attr(d))
-                .value_or(hw_threads));
+            ad.eval_integer(attrs.threads).value_or(hw_threads));
         const ThreadCount resident = hw_threads - free_threads;
         const auto budget = static_cast<ThreadCount>(
             static_cast<double>(hw_threads) * config_.thread_overcommit) -
@@ -79,10 +92,10 @@ std::vector<DeviceView> SharingAwareScheduler::device_views(
   }
 
   // In-flight pins: pinned jobs not yet dispatched still consume capacity.
-  for (const condor::JobRecord& rec : pinned_pending) {
-    const auto pin = pins_.find(rec.id);
+  for (const condor::JobRecord* rec : pinned_pending) {
+    const auto pin = pins_.find(rec->id);
     PHISCHED_CHECK(pin != pins_.end(), "pinned_pending without a pin");
-    const PendingJobView jv = job_view(rec);
+    const PendingJobView jv = job_view(*rec);
     if (pin->second.device >= 0) {
       for (DeviceView& v : views) {
         if (v.addr == pin->second) {
@@ -139,14 +152,14 @@ void SharingAwareScheduler::pre_cycle() {
   // the machine ads), finished, or was requeued with a fresh ad (a
   // retried job must be re-packed from scratch).
   std::map<JobId, DeviceAddress> live_pins;
-  std::vector<condor::JobRecord> pinned_pending;
+  std::vector<const condor::JobRecord*> pinned_pending;
   std::vector<PendingJobView> unpinned;
   for (JobId id : pending_ids) {
     const condor::JobRecord& rec = schedd_.record(id);
     auto it = pins_.find(id);
     if (it != pins_.end() && rec.ad.has(condor::kAttrPinnedNode)) {
       live_pins.emplace(id, it->second);
-      pinned_pending.push_back(rec);
+      pinned_pending.push_back(&rec);
     } else {
       unpinned.push_back(job_view(rec));
     }

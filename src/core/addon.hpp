@@ -17,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "condor/ads.hpp"
@@ -81,9 +82,19 @@ class SharingAwareScheduler {
   [[nodiscard]] const AssignmentPolicy& policy() const { return *policy_; }
 
  private:
+  /// The per-device attribute names device_views() reads.
+  struct DeviceAttrs {
+    std::string memory;
+    std::string hw_threads;
+    std::string free_bw;
+    std::string threads;
+  };
+
   /// Builds device views from the collector's machine ads, net of pins.
   [[nodiscard]] std::vector<DeviceView> device_views(
-      const std::vector<condor::JobRecord>& pinned_pending) const;
+      const std::vector<const condor::JobRecord*>& pinned_pending);
+  /// Attribute names of device `d`, built once per device.
+  const DeviceAttrs& device_attrs(DeviceId d);
   /// condor::pinned_requirements(node), parsed once per node and shared
   /// by every job pinned there.
   const classad::ExprPtr& pinned_requirements(NodeId node);
@@ -95,6 +106,7 @@ class SharingAwareScheduler {
   /// Jobs we have pinned that are still pending dispatch.
   std::map<JobId, DeviceAddress> pins_;
   std::vector<classad::ExprPtr> pinned_requirements_;  // by node id
+  std::vector<DeviceAttrs> device_attrs_;               // by device id
   AddonStats stats_;
 };
 

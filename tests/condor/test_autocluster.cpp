@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -22,7 +23,7 @@
 namespace phisched::condor {
 namespace {
 
-using Machines = std::vector<std::pair<NodeId, classad::ClassAd>>;
+using Machines = MachineAds;
 
 /// Requirements sources a job may carry. Each is parsed once into a
 /// shared tree; a job may also get a private re-parse of the same source
@@ -129,7 +130,7 @@ class Generator {
               ? plain + rng_.index(kTargetReadingMachineReqs)
               : rng_.index(plain);
       if (!rng_.bernoulli(0.1)) ad.insert(kAttrRequirements, machine_trees_[k]);
-      out.emplace_back(n, std::move(ad));
+      out.emplace_back(n, std::make_shared<const classad::ClassAd>(std::move(ad)));
     }
     return out;
   }
@@ -173,8 +174,10 @@ CycleOutcome reference_walk(MatchCycle& cycle) {
     cycle.schedd.mark_matched(job_id, node);
     if (cycle.dispatch(job_id, node)) {
       ++outcome.matches;
-      deduct_from_ad(cycle.machines[*chosen].second, rec.ad,
-                     cycle.deduct_custom_resources);
+      classad::ClassAd deducted = *cycle.machines[*chosen].second;
+      deduct_from_ad(deducted, rec.ad, cycle.deduct_custom_resources);
+      cycle.machines[*chosen].second =
+          std::make_shared<const classad::ClassAd>(std::move(deducted));
     } else {
       ++outcome.rejected_dispatches;
       cycle.schedd.release_match(job_id);
@@ -186,7 +189,7 @@ CycleOutcome reference_walk(MatchCycle& cycle) {
 std::string render(const Machines& machines) {
   std::string out;
   for (const auto& [node, ad] : machines) {
-    out += std::to_string(node) + ":\n" + ad.to_string();
+    out += std::to_string(node) + ":\n" + ad->to_string();
   }
   return out;
 }
@@ -218,10 +221,14 @@ TEST_P(AutoclusterWalk, MatchesPerJobReference) {
                    std::to_string(c));
       const bool target_reading = gen.rng().bernoulli(0.3);
       Machines ref_machines = gen.machines(target_reading);
+      // Both sides start from the same shared ads, as every reader of the
+      // collector does; neither walk may write them.
       Machines fifo_machines = ref_machines;
+      const Machines advertised = ref_machines;
+      const std::string advertised_text = render(advertised);
       fallback_cycles += std::any_of(
           ref_machines.begin(), ref_machines.end(),
-          [](const auto& m) { return m.second.reads_target(); });
+          [](const auto& m) { return m.second->reads_target(); });
 
       const std::vector<JobId> ref_pending =
           ordered_pending(ref.schedd, ref.schedd.pending());
@@ -246,6 +253,7 @@ TEST_P(AutoclusterWalk, MatchesPerJobReference) {
       ASSERT_EQ(got.occupancy_rejected, want.occupancy_rejected);
       ASSERT_TRUE(fifo.rng.engine() == ref.rng.engine());
       ASSERT_EQ(render(fifo_machines), render(ref_machines));
+      ASSERT_EQ(render(advertised), advertised_text);
 
       // Between cycles: matched jobs finish or come back with a fresh ad,
       // some pending jobs are edited, and new jobs arrive.

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace phisched::condor {
 namespace {
 
-classad::ClassAd ad_with(std::int64_t free) {
-  classad::ClassAd ad;
-  ad.insert_integer("PhiFreeMemory", free);
+SharedAd ad_with(std::int64_t free) {
+  auto ad = std::make_shared<classad::ClassAd>();
+  ad->insert_integer("PhiFreeMemory", free);
   return ad;
 }
 
@@ -16,7 +18,7 @@ TEST(Collector, AdvertiseAndFetch) {
   collector.advertise(0, [] { return ad_with(100); });
   collector.advertise(1, [] { return ad_with(200); });
   EXPECT_EQ(collector.machine_count(), 2u);
-  EXPECT_EQ(collector.machine_ad(1).eval_integer("PhiFreeMemory"), 200);
+  EXPECT_EQ(collector.machine_ad(1)->eval_integer("PhiFreeMemory"), 200);
 }
 
 TEST(Collector, AdsReflectCurrentState) {
@@ -24,9 +26,9 @@ TEST(Collector, AdsReflectCurrentState) {
   Collector collector;
   std::int64_t free = 100;
   collector.advertise(0, [&] { return ad_with(free); });
-  EXPECT_EQ(collector.machine_ad(0).eval_integer("PhiFreeMemory"), 100);
+  EXPECT_EQ(collector.machine_ad(0)->eval_integer("PhiFreeMemory"), 100);
   free = 50;
-  EXPECT_EQ(collector.machine_ad(0).eval_integer("PhiFreeMemory"), 50);
+  EXPECT_EQ(collector.machine_ad(0)->eval_integer("PhiFreeMemory"), 50);
 }
 
 TEST(Collector, MachineAdsOrderedByNode) {
@@ -38,7 +40,7 @@ TEST(Collector, MachineAdsOrderedByNode) {
   ASSERT_EQ(ads.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(ads[i].first, static_cast<NodeId>(i));
-    EXPECT_EQ(ads[i].second.eval_integer("PhiFreeMemory"),
+    EXPECT_EQ(ads[i].second->eval_integer("PhiFreeMemory"),
               static_cast<std::int64_t>(i));
   }
 }
@@ -48,7 +50,7 @@ TEST(Collector, ReAdvertiseReplaces) {
   collector.advertise(0, [] { return ad_with(1); });
   collector.advertise(0, [] { return ad_with(2); });
   EXPECT_EQ(collector.machine_count(), 1u);
-  EXPECT_EQ(collector.machine_ad(0).eval_integer("PhiFreeMemory"), 2);
+  EXPECT_EQ(collector.machine_ad(0)->eval_integer("PhiFreeMemory"), 2);
 }
 
 TEST(Collector, WithdrawRemoves) {
@@ -71,14 +73,14 @@ TEST(Collector, StaleModeServesEpochSnapshots) {
   collector.advertise(0, [&] { return ad_with(free); });
 
   // Epoch [0,10): first query caches the current state.
-  EXPECT_EQ(collector.machine_ad(0).eval_integer("PhiFreeMemory"), 100);
+  EXPECT_EQ(collector.machine_ad(0)->eval_integer("PhiFreeMemory"), 100);
   free = 50;
   sim.run_until(9.0);
   // Still the stale snapshot from this epoch.
-  EXPECT_EQ(collector.machine_ad(0).eval_integer("PhiFreeMemory"), 100);
+  EXPECT_EQ(collector.machine_ad(0)->eval_integer("PhiFreeMemory"), 100);
   sim.run_until(10.0);
   // New epoch: the update went through.
-  EXPECT_EQ(collector.machine_ad(0).eval_integer("PhiFreeMemory"), 50);
+  EXPECT_EQ(collector.machine_ad(0)->eval_integer("PhiFreeMemory"), 50);
 }
 
 TEST(Collector, StaleModeAffectsMachineAdsToo) {

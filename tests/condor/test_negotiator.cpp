@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "condor/ads.hpp"
 
@@ -23,7 +24,7 @@ class NegotiatorTest : public ::testing::Test {
       ad.insert_integer(kAttrPhiFreeMemory, machine_mem_[node]);
       ad.insert_integer(kAttrFreeSlots, machine_slots_[node]);
       ad.insert_expr(kAttrRequirements, "MY.FreeSlots >= 1");
-      return ad;
+      return std::make_shared<const classad::ClassAd>(std::move(ad));
     });
   }
 
@@ -234,7 +235,7 @@ TEST_F(NegotiatorTest, DeviceDeductionPreventsSameCycleOversubscription) {
     ad.insert_integer(kAttrFreeSlots, 8);
     ad.insert_integer(kAttrPhiFreeDevices, 1);
     ad.insert_expr(kAttrRequirements, "MY.FreeSlots >= 1");
-    return ad;
+    return std::make_shared<const classad::ClassAd>(std::move(ad));
   });
   submit_job(1, 100, exclusive_requirements());
   submit_job(2, 100, exclusive_requirements());
@@ -259,7 +260,7 @@ TEST_F(NegotiatorTest, StaleDeviceCountOversubscribesWithoutDeduction) {
     ad.insert_integer(kAttrFreeSlots, 8);
     ad.insert_integer(kAttrPhiFreeDevices, 1);
     ad.insert_expr(kAttrRequirements, "MY.FreeSlots >= 1");
-    return ad;
+    return std::make_shared<const classad::ClassAd>(std::move(ad));
   });
   submit_job(1, 100, exclusive_requirements());
   submit_job(2, 100, exclusive_requirements());

@@ -2,6 +2,8 @@
 // FIFO within equal priorities.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "condor/ads.hpp"
 #include "condor/negotiator.hpp"
 
@@ -15,7 +17,7 @@ class PriorityTest : public ::testing::Test {
       classad::ClassAd ad;
       ad.insert_string(kAttrName, machine_name(0));
       ad.insert_integer(kAttrFreeSlots, slots_);
-      return ad;
+      return std::make_shared<const classad::ClassAd>(std::move(ad));
     });
   }
 

@@ -2,6 +2,8 @@
 // expression when choosing among matching machines.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "condor/ads.hpp"
 #include "condor/negotiator.hpp"
 
@@ -18,7 +20,7 @@ class RankTest : public ::testing::Test {
       ad.insert_string(kAttrName, machine_name(node));
       ad.insert_integer(kAttrPhiFreeMemory, free_mem);
       ad.insert_integer(kAttrFreeSlots, 8);
-      return ad;
+      return std::make_shared<const classad::ClassAd>(std::move(ad));
     });
   }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "condor/ads.hpp"
 #include "sim/simulator.hpp"
@@ -127,7 +128,8 @@ class StrategyTest : public ::testing::Test {
   StrategyTest() : schedd_(sim_), rng_(5) {}
 
   void add_machine(NodeId node, classad::ClassAd ad) {
-    machines_.emplace_back(node, std::move(ad));
+    machines_.emplace_back(
+        node, std::make_shared<const classad::ClassAd>(std::move(ad)));
   }
 
   void submit(JobId id, MiB mem, ThreadCount threads, int devices = 1) {
@@ -152,7 +154,7 @@ class StrategyTest : public ::testing::Test {
   Simulator sim_;
   Schedd schedd_;
   Rng rng_;
-  std::vector<std::pair<NodeId, classad::ClassAd>> machines_;
+  MachineAds machines_;
   std::vector<std::pair<JobId, NodeId>> dispatched_;
   std::function<bool(JobId, NodeId)> dispatch_ = [this](JobId job,
                                                         NodeId node) {

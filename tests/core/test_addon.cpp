@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "sim/simulator.hpp"
 
@@ -26,7 +27,7 @@ class AddonTest : public ::testing::Test {
       ad.insert_integer(condor::per_device_memory_attr(0), free_mem_[node]);
       ad.insert_integer(condor::per_device_threads_attr(0),
                         free_threads_[node]);
-      return ad;
+      return std::make_shared<const classad::ClassAd>(std::move(ad));
     });
   }
 
@@ -59,7 +60,7 @@ TEST_F(AddonTest, PinsJobsViaQedit) {
   const auto& ad = schedd_.record(1).ad;
   EXPECT_EQ(ad.eval_integer(condor::kAttrPinnedDevice), 0);
   // The rewritten Requirements accept node0 and nothing else.
-  EXPECT_TRUE(classad::requirements_met(ad, collector_.machine_ad(0)));
+  EXPECT_TRUE(classad::requirements_met(ad, *collector_.machine_ad(0)));
 }
 
 TEST_F(AddonTest, UnpinnedJobsRemainUnmatchable) {
@@ -69,7 +70,7 @@ TEST_F(AddonTest, UnpinnedJobsRemainUnmatchable) {
   addon.pre_cycle();
   EXPECT_EQ(addon.stats().pins, 0u);
   EXPECT_FALSE(
-      classad::requirements_met(schedd_.record(1).ad, collector_.machine_ad(0)));
+      classad::requirements_met(schedd_.record(1).ad, *collector_.machine_ad(0)));
 }
 
 TEST_F(AddonTest, PacksMemoryAcrossCycleBoundaries) {
@@ -115,7 +116,7 @@ TEST_F(AddonTest, SpreadsAcrossNodes) {
     if (rec.ad.has(condor::kAttrPinnedDevice)) {
       // Recover the node from the pinned Requirements by matching.
       for (NodeId n = 0; n < 2; ++n) {
-        if (classad::requirements_met(rec.ad, collector_.machine_ad(n))) {
+        if (classad::requirements_met(rec.ad, *collector_.machine_ad(n))) {
           per_node[n] += 1;
         }
       }
