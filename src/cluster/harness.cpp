@@ -49,6 +49,20 @@ Harness::Harness(const ExperimentConfig& config)
 Harness::~Harness() = default;
 
 void Harness::build_nodes() {
+  // Every node carries the same cards: the --devices fleet, or
+  // node_hw.phi_devices copies of node_hw.phi.
+  if (config_.devices.empty()) {
+    cards_.assign(static_cast<std::size_t>(config_.node_hw.phi_devices),
+                  config_.node_hw.phi);
+  } else {
+    for (const phi::DeviceCapability& cap : config_.devices) {
+      cards_.push_back(cap.hw);
+    }
+  }
+  std::stable_sort(cards_.begin(), cards_.end(),
+                   [](const PhiHardware& a, const PhiHardware& b) {
+                     return a.usable_memory_mib() > b.usable_memory_mib();
+                   });
   NodeConfig nc;
   nc.hw = config_.node_hw;
   nc.devices = config_.devices;
@@ -188,24 +202,15 @@ std::string Harness::requirements_for_stack() const {
 }
 
 MiB Harness::memory_cap(ThreadCount threads, int devices_req) const {
-  // Every node carries the same cards: the --devices fleet, or
-  // node_hw.phi_devices copies of node_hw.phi.
-  std::vector<MiB> fitting;
-  auto consider = [&](const PhiHardware& hw) {
-    if (threads <= hw.hw_threads()) fitting.push_back(hw.usable_memory_mib());
-  };
-  if (config_.devices.empty()) {
-    for (int d = 0; d < config_.node_hw.phi_devices; ++d) {
-      consider(config_.node_hw.phi);
+  // cards_ is sorted by usable memory, largest first: the devices_req-th
+  // card with enough threads is the tightest one a gang must use.
+  int fitting = 0;
+  for (const PhiHardware& card : cards_) {
+    if (threads <= card.hw_threads() && ++fitting == devices_req) {
+      return card.usable_memory_mib();
     }
-  } else {
-    for (const phi::DeviceCapability& cap : config_.devices) consider(cap.hw);
   }
-  if (devices_req < 1 || fitting.size() < static_cast<std::size_t>(devices_req)) {
-    return -1;
-  }
-  std::sort(fitting.begin(), fitting.end(), std::greater<>());
-  return fitting[static_cast<std::size_t>(devices_req) - 1];
+  return -1;
 }
 
 void Harness::submit(const workload::JobSpec& job) {

@@ -192,14 +192,16 @@ class Harness {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::unique_ptr<core::SharingAwareScheduler> addon_;
+  /// One node's coprocessors, largest usable memory first.
+  std::vector<PhiHardware> cards_;
   /// requirements_for_stack(), parsed once and shared by every job ad.
   classad::ExprPtr job_requirements_;
   /// Every submitted job's solo duration, in id order: what gather() and
   /// roll_up() sum over (in this order, so sums are reproducible) and the
   /// oracle policy reads. Kept after the job ends; its spec is not.
   std::map<JobId, double> solo_durations_;
-  /// Specs of jobs not yet terminal (looked up by id only).
-  std::unordered_map<JobId, workload::JobSpec> specs_;
+  /// Specs of jobs not yet terminal.
+  std::map<JobId, workload::JobSpec> specs_;
   /// Runs of dispatched, not yet terminal jobs (looked up by id only).
   std::unordered_map<JobId, std::unique_ptr<JobRun>> runs_;
   /// Runs that finished inside their own callback, freed once control is
