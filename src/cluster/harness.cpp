@@ -216,7 +216,8 @@ MiB Harness::memory_cap(ThreadCount threads, int devices_req) const {
 void Harness::submit(const workload::JobSpec& job) {
   PHISCHED_REQUIRE(job.submit_time >= 0.0, "negative submit time");
   PHISCHED_REQUIRE(
-      job.mem_req_mib <= memory_cap(job.threads_req, job.devices_req),
+      job.devices_req >= 1 &&
+          job.mem_req_mib <= memory_cap(job.threads_req, job.devices_req),
       "job ", job.id, " does not fit the fleet: it needs ", job.devices_req,
       " coprocessor(s) on one node, each with ", job.mem_req_mib,
       " MiB and ", job.threads_req, " threads");
