@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 #include "common/quantize.hpp"
 
@@ -116,6 +118,7 @@ void Harness::build_condor() {
       sim_, schedd_, collector_,
       [this](JobId job, NodeId node) { return dispatch(job, node); }, ncfg,
       rng_.child("negotiator"));
+  negotiator_->set_post_cycle_hook([this] { check_liveness(); });
   if (recorder_ != nullptr) {
     negotiator_->attach_telemetry(*recorder_, "condor.negotiator");
     schedd_.attach_telemetry(*recorder_, "condor.schedd");
@@ -215,9 +218,12 @@ MiB Harness::memory_cap(ThreadCount threads, int devices_req) const {
 
 void Harness::submit(const workload::JobSpec& job) {
   PHISCHED_REQUIRE(job.submit_time >= 0.0, "negative submit time");
+  MiB cap = memory_cap(job.threads_req, job.devices_req);
+  if (packs_on_grid(job) && cap >= 0) {
+    cap = quantize_down(cap, config_.knapsack.quantum_mib);
+  }
   PHISCHED_REQUIRE(
-      job.devices_req >= 1 &&
-          job.mem_req_mib <= memory_cap(job.threads_req, job.devices_req),
+      job.devices_req >= 1 && job.mem_req_mib <= cap,
       "job ", job.id, " does not fit the fleet: it needs ", job.devices_req,
       " coprocessor(s) on one node, each with ", job.mem_req_mib,
       " MiB and ", job.threads_req, " threads");
@@ -252,6 +258,12 @@ void Harness::submit(const workload::JobSpec& job) {
     negotiator_->start();
     if (sampler_ != nullptr) sampler_->start();
   }
+}
+
+bool Harness::packs_on_grid(const workload::JobSpec& job) const {
+  // The knapsack packs declarations rounded up to its grid into
+  // capacities rounded down to it; gang jobs bypass it.
+  return config_.stack == StackConfig::kMCCK && job.devices_req == 1;
 }
 
 void Harness::submit(const workload::JobSet& jobs) {
@@ -322,12 +334,14 @@ void Harness::set_terminal_observer(
   terminal_observer_ = std::move(observer);
 }
 
-bool Harness::dispatch(JobId job_id, NodeId node_id) {
+condor::DispatchResult Harness::dispatch(JobId job_id, NodeId node_id) {
   // A negotiation cycle never runs inside a JobRun's callback, so the
   // runs that finished since the last cycle can go.
   finished_runs_.clear();
   Node& node = *nodes_[static_cast<std::size_t>(node_id)];
-  if (node.free_slots() <= 0) return false;
+  // Slots and cards free up only when a job ends, never inside a cycle:
+  // a node out of either refuses every job for the rest of the cycle.
+  if (node.free_slots() <= 0) return condor::DispatchResult::kNodeClosed;
 
   const workload::JobSpec& spec = specs_.at(job_id);
 
@@ -350,7 +364,10 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
       }
     }
     if (devices.size() < static_cast<std::size_t>(spec.devices_req)) {
-      return false;  // stale ad: not enough free devices
+      // Stale ad: not enough free devices. Some free card may still take
+      // a narrower job.
+      return devices.empty() ? condor::DispatchResult::kNodeClosed
+                             : condor::DispatchResult::kRefused;
     }
     for (DeviceId d : devices) {
       exclusive_claims_.insert(DeviceAddress{node_id, d});
@@ -376,7 +393,38 @@ bool Harness::dispatch(JobId job_id, NodeId node_id) {
     schedd_.mark_running(job_id);
     raw->arrive();
   });
-  return true;
+  return condor::DispatchResult::kAccepted;
+}
+
+void Harness::check_liveness() {
+  const std::uint64_t progress =
+      negotiator_->stats().matches + schedd_.ad_changes();
+  const bool idle = progress == progress_at_last_cycle_;
+  progress_at_last_cycle_ = progress;
+  if (!idle || schedd_.pending_count() == 0) return;
+  // With only the harness's own timers queued no job runs and nothing
+  // arrives, so no node changes state again...
+  const std::size_t timers =
+      std::size_t{negotiator_->running()} +
+      std::size_t{sampler_ != nullptr && sampler_->running()};
+  if (sim_.pending_events() > timers) return;
+  // ...and once the collector's ads are the nodes' current ones (a stale
+  // collector catches up at its next update epoch), every later cycle
+  // repeats this one.
+  for (const auto& node : nodes_) {
+    if (collector_.machine_ad(node->id()) != node->shared_machine_ad()) return;
+  }
+  const std::vector<JobId> stuck = schedd_.pending();
+  constexpr std::size_t kNamed = 10;
+  std::ostringstream msg;
+  msg << "experiment deadlock at t=" << sim_.now() << ": " << stuck.size()
+      << " pending job(s) can never be scheduled (";
+  for (std::size_t i = 0; i < std::min(stuck.size(), kNamed); ++i) {
+    msg << (i == 0 ? "" : ", ") << stuck[i];
+  }
+  if (stuck.size() > kNamed) msg << " and " << stuck.size() - kNamed << " more";
+  msg << ")";
+  throw std::runtime_error(msg.str());
 }
 
 void Harness::on_job_done(const workload::JobSpec& spec, NodeId node_id,

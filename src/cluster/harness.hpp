@@ -38,6 +38,7 @@
 #include "common/types.hpp"
 #include "condor/collector.hpp"
 #include "condor/schedd.hpp"
+#include "condor/strategy.hpp"
 #include "sim/simulator.hpp"
 #include "workload/jobset.hpp"
 #include "workload/jobspec.hpp"
@@ -76,8 +77,9 @@ class Harness {
   /// immediately; a later submit_time becomes a scheduled arrival (the
   /// paper's "dynamic scenario with continuously arriving jobs"). Every
   /// job must fit the fleet: a node must carry devices_req coprocessors
-  /// that each hold its declared memory and threads (Section III);
-  /// otherwise submit throws, naming the job. Ids must be unique across
+  /// that each hold its declared memory and threads (Section III), memory
+  /// counted on the knapsack's grid when the MCCK knapsack places the
+  /// job; otherwise submit throws, naming the job. Ids must be unique across
   /// the harness's lifetime. Submitting after a previous workload
   /// drained resumes negotiation automatically.
   void submit(const workload::JobSpec& job);
@@ -97,8 +99,10 @@ class Harness {
   /// Convenience: run_until(now() + dt).
   std::size_t run_for(SimTime dt);
 
-  /// Drains the event queue and returns the finalized result. Throws if
-  /// any submitted job can never be scheduled (experiment deadlock).
+  /// Drains the event queue and returns the finalized result. Every
+  /// driving call throws std::runtime_error, naming the stuck jobs, at
+  /// the end of the first cycle after which no job can ever be scheduled
+  /// again (experiment deadlock; see check_liveness).
   ExperimentResult run_to_completion();
 
   // -- Inspection ----------------------------------------------------
@@ -171,7 +175,15 @@ class Harness {
   /// has `devices_req` coprocessors each holding it and `threads`; -1
   /// when no node has that many cards with enough threads.
   [[nodiscard]] MiB memory_cap(ThreadCount threads, int devices_req) const;
-  bool dispatch(JobId job_id, NodeId node_id);
+  /// True when the MCCK knapsack places `job`: its declaration must then
+  /// fit a card's capacity rounded down to the knapsack's memory grid.
+  [[nodiscard]] bool packs_on_grid(const workload::JobSpec& job) const;
+  condor::DispatchResult dispatch(JobId job_id, NodeId node_id);
+  /// Post-cycle hook: throws, naming the stuck jobs, when the cycle that
+  /// just ran left jobs pending and no later cycle can do otherwise — it
+  /// matched, pinned and edited nothing, only the harness's timers are
+  /// queued, and the collector's ads are current.
+  void check_liveness();
   void on_job_done(const workload::JobSpec& spec, NodeId node_id,
                    bool success);
   /// Const core of result()/snapshot(): every field of ExperimentResult
@@ -214,6 +226,8 @@ class Harness {
   std::vector<std::pair<SimTime, double>> samples_;
   std::unique_ptr<obs::Recorder> recorder_;
   std::function<void(const condor::JobRecord&)> terminal_observer_;
+  /// Matches plus schedd ad changes at the end of the last cycle.
+  std::uint64_t progress_at_last_cycle_ = 0;
   bool started_ = false;
   std::optional<ExperimentResult> final_;
 };

@@ -110,6 +110,7 @@ void Negotiator::run_cycle() {
            {"rejected", std::to_string(outcome.rejected_dispatches)}});
     }
   }
+  if (post_cycle_) post_cycle_();
 }
 
 }  // namespace phisched::condor

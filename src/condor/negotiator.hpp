@@ -60,9 +60,10 @@ struct NegotiatorStats {
 
 class Negotiator {
  public:
-  /// Dispatch callback: launch `job` on `node`. Returning false refuses
-  /// the match (the job goes back to pending).
-  using DispatchFn = std::function<bool(JobId, NodeId)>;
+  /// Dispatch callback: launch `job` on `node`, or refuse the match (the
+  /// job goes back to pending) and say whether the node is closed for the
+  /// rest of the cycle.
+  using DispatchFn = condor::DispatchFn;
 
   Negotiator(Simulator& sim, Schedd& schedd, Collector& collector,
              DispatchFn dispatch, NegotiatorConfig config, Rng rng);
@@ -75,9 +76,16 @@ class Negotiator {
     pre_cycle_ = std::move(hook);
   }
 
+  /// Installs a hook executed at the end of every cycle.
+  void set_post_cycle_hook(std::function<void()> hook) {
+    post_cycle_ = std::move(hook);
+  }
+
   /// Starts periodic cycles (the first fires after one interval).
   void start();
   void stop();
+  /// True between start() and stop(): the next cycle is queued.
+  [[nodiscard]] bool running() const { return timer_ != nullptr; }
 
   /// Runs one negotiation cycle immediately (also used by tests).
   void run_cycle();
@@ -122,6 +130,7 @@ class Negotiator {
   Rng rng_;
   std::unique_ptr<MatchStrategy> strategy_;
   std::function<void()> pre_cycle_;
+  std::function<void()> post_cycle_;
   std::unique_ptr<PeriodicTimer> timer_;
   NegotiatorStats stats_;
   Telemetry obs_;

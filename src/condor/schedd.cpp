@@ -7,15 +7,23 @@
 
 namespace phisched::condor {
 
-namespace {
-
-/// Refreshes what the negotiator reads of `rec.ad` every cycle.
-void note_ad_change(JobRecord& rec) {
-  rec.signature = classad::match_signature(rec.ad);
-  rec.prio = rec.ad.eval_integer(kAttrJobPrio).value_or(0);
+JobRequests read_requests(const classad::ClassAd& ad) {
+  JobRequests r;
+  r.memory_mib = ad.eval_integer(kAttrRequestPhiMemory).value_or(0);
+  r.threads = static_cast<ThreadCount>(
+      ad.eval_integer(kAttrRequestPhiThreads).value_or(0));
+  r.devices =
+      static_cast<int>(ad.eval_integer(kAttrRequestPhiDevices).value_or(1));
+  r.bandwidth = ad.eval_real(kAttrRequestPhiMemBandwidth).value_or(0.0);
+  return r;
 }
 
-}  // namespace
+const JobRequests& JobRecord::requests() const {
+  if (!cached_requests.has_value()) cached_requests = read_requests(ad);
+  PHISCHED_DCHECK(*cached_requests == read_requests(ad),
+                  "job ", id, ": cached requests are stale");
+  return *cached_requests;
+}
 
 const char* job_state_name(JobState s) {
   switch (s) {
@@ -64,6 +72,13 @@ void Schedd::note_terminal(const JobRecord& rec, const char* type) {
                    {"node", std::to_string(rec.node)},
                    {"retries", std::to_string(rec.retries)},
                    {"turnaround_s", json_number(turnaround)}});
+}
+
+void Schedd::note_ad_change(JobRecord& rec) {
+  rec.signature = classad::match_signature(rec.ad);
+  rec.prio = rec.ad.eval_integer(kAttrJobPrio).value_or(0);
+  rec.cached_requests.reset();
+  ++ad_changes_;
 }
 
 JobRecord& Schedd::mutable_record(JobId id) {
@@ -153,10 +168,11 @@ void Schedd::mark_failed(JobId id) {
 }
 
 void Schedd::retire(JobRecord& rec) {
-  // Nothing matches a terminal job again: free its ad and signature and
-  // keep only the compact lifecycle record.
+  // Nothing matches a terminal job again: free its ad, signature and
+  // cached requests and keep only the compact lifecycle record.
   rec.ad = classad::ClassAd();
   rec.signature = classad::MatchSignature();
+  rec.cached_requests.reset();
 }
 
 void Schedd::requeue(JobId id, classad::ClassAd new_ad) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +30,21 @@ enum class JobState {
 
 [[nodiscard]] const char* job_state_name(JobState s);
 
+/// What a job declares it needs of each coprocessor it runs on: the
+/// RequestPhi* attributes of its ad.
+struct JobRequests {
+  MiB memory_mib = 0;
+  ThreadCount threads = 0;
+  int devices = 1;
+  double bandwidth = 0.0;  ///< declared memory-bandwidth share
+
+  bool operator==(const JobRequests&) const = default;
+};
+
+/// Evaluates the declared requests of `ad`; an absent attribute reads as
+/// the default above.
+[[nodiscard]] JobRequests read_requests(const classad::ClassAd& ad);
+
 struct JobRecord {
   JobId id = 0;
   /// The job's ClassAd; emptied once the job is terminal (after the
@@ -47,6 +63,13 @@ struct JobRecord {
   /// What the two-way match reads of `ad` — the job's autocluster key.
   /// Recomputed whenever the ad changes (submit, qedit, requeue).
   classad::MatchSignature signature;
+  /// read_requests(ad), filled on the first requests() call after the ad
+  /// changed; the schedd resets it on every change (submit, qedit,
+  /// requeue) and at retirement.
+  mutable std::optional<JobRequests> cached_requests;
+
+  /// The ad's declared requests, evaluated at most once per ad change.
+  [[nodiscard]] const JobRequests& requests() const;
 };
 
 class Schedd {
@@ -92,6 +115,8 @@ class Schedd {
   [[nodiscard]] std::size_t pending_count() const {
     return pending_fifo_.size();
   }
+  /// Ad changes so far (submits, qedits, requeues).
+  [[nodiscard]] std::uint64_t ad_changes() const { return ad_changes_; }
   /// True when every submitted job reached a terminal state.
   [[nodiscard]] bool drained() const {
     return completed_ + failed_ == jobs_.size();
@@ -129,6 +154,9 @@ class Schedd {
   static void retire(JobRecord& rec);
 
   JobRecord& mutable_record(JobId id);
+  /// Refreshes what the negotiator reads of `rec.ad` every cycle, drops
+  /// the cached requests, and counts the change.
+  void note_ad_change(JobRecord& rec);
   /// Moves `rec` into or out of the pending queue.
   void set_state(JobRecord& rec, JobState state);
 
@@ -140,6 +168,7 @@ class Schedd {
   std::set<std::size_t> pending_fifo_;  // fifo_ indices of pending jobs
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
+  std::uint64_t ad_changes_ = 0;
   SimTime last_finish_ = 0.0;
   std::function<void(const JobRecord&)> on_terminal_;
   Telemetry obs_;

@@ -51,13 +51,24 @@ std::size_t pick_machine(const classad::ClassAd& job_ad,
 /// a refused dispatch releases the match. Returns true when the job
 /// dispatched: its requests are then deducted from a copy of the
 /// machine's ad, which replaces the shared one for the rest of the cycle.
+/// A machine whose dispatch closed it this cycle refuses at once: the
+/// mark/dispatch/release round trip would change nothing.
 bool claim(MatchCycle& cycle, const JobRecord& rec, std::size_t m,
            CycleOutcome& outcome) {
+  if (m < cycle.closed.size() && cycle.closed[m] != 0) {
+    ++outcome.rejected_dispatches;
+    return false;
+  }
   auto& [node, machine_ad] = cycle.machines[m];
   cycle.schedd.mark_matched(rec.id, node);
-  if (!cycle.dispatch(rec.id, node)) {
+  const DispatchResult result = cycle.dispatch(rec.id, node);
+  if (result != DispatchResult::kAccepted) {
     ++outcome.rejected_dispatches;
     cycle.schedd.release_match(rec.id);
+    if (result == DispatchResult::kNodeClosed) {
+      cycle.closed.resize(cycle.machines.size());
+      cycle.closed[m] = 1;
+    }
     return false;
   }
   ++outcome.matches;
@@ -267,9 +278,8 @@ class BatchStrategy final : public MatchStrategy {
     std::vector<JobId> singles;
     std::vector<JobId> fallback;
     for (const JobId job_id : batch) {
-      const classad::ClassAd& ad = cycle.schedd.record(job_id).ad;
-      if (ad.eval_integer(kAttrRequestPhiDevices).value_or(1) > 1 ||
-          oversized(ad, cycle.machines)) {
+      const JobRequests& requests = cycle.schedd.record(job_id).requests();
+      if (requests.devices > 1 || oversized(requests, cycle.machines)) {
         fallback.push_back(job_id);
       } else {
         singles.push_back(job_id);
@@ -297,11 +307,10 @@ class BatchStrategy final : public MatchStrategy {
   /// True when no machine's idle-device occupancy budget could ever hold
   /// this declaration (threads over floor(occ * hw) or memory over
   /// floor(occ-mem * total) everywhere).
-  [[nodiscard]] bool oversized(const classad::ClassAd& job_ad,
+  [[nodiscard]] bool oversized(const JobRequests& requests,
                                const MachineAds& machines) const {
-    const MiB mem = job_ad.eval_integer(kAttrRequestPhiMemory).value_or(0);
-    const auto threads = static_cast<ThreadCount>(
-        job_ad.eval_integer(kAttrRequestPhiThreads).value_or(0));
+    const MiB mem = requests.memory_mib;
+    const ThreadCount threads = requests.threads;
     for (const auto& [node, ad] : machines) {
       const auto hw = static_cast<ThreadCount>(
           ad->eval_integer(kAttrPhiHwThreads).value_or(240));
@@ -353,13 +362,13 @@ class BatchStrategy final : public MatchStrategy {
     // eligibility; a pre-pinned device (the add-on's qedit) restricts the
     // job to that device's bin.
     for (std::size_t j = 0; j < singles.size(); ++j) {
-      const classad::ClassAd& job_ad = cycle.schedd.record(singles[j]).ad;
+      const JobRecord& rec = cycle.schedd.record(singles[j]);
+      const classad::ClassAd& job_ad = rec.ad;
       knapsack::BatchJob job;
       job.tag = j;
-      job.mem_mib = job_ad.eval_integer(kAttrRequestPhiMemory).value_or(0);
-      job.threads = static_cast<ThreadCount>(
-          job_ad.eval_integer(kAttrRequestPhiThreads).value_or(0));
-      job.bw = job_ad.eval_real(kAttrRequestPhiMemBandwidth).value_or(0.0);
+      job.mem_mib = rec.requests().memory_mib;
+      job.threads = rec.requests().threads;
+      job.bw = rec.requests().bandwidth;
       job.value = knapsack::job_value(knapsack::ValueFunction::kPaperQuadratic,
                                       job.threads, fleet_hw);
       const auto pinned = job_ad.eval_integer(kAttrPinnedDevice);

@@ -95,6 +95,20 @@ struct NegotiationConfig {
 /// Round-trips parse_negotiation (batch configs print every key).
 [[nodiscard]] std::string negotiation_to_string(const NegotiationConfig& c);
 
+/// A dispatch callback's answer for one match, and how far a refusal
+/// reaches.
+enum class DispatchResult {
+  kAccepted,  ///< the job launches on the node
+  kRefused,   ///< this job cannot launch there; another job still may
+  /// Refused, and the node refuses every other job until the cycle ends
+  /// (no free slot, or no free card for an exclusive claim): nothing a
+  /// cycle does frees capacity on a node.
+  kNodeClosed,
+};
+
+/// Launches `job` on `node` (the shadow/starter path) or refuses it.
+using DispatchFn = std::function<DispatchResult(JobId, NodeId)>;
+
 /// Everything one negotiation cycle exposes to its strategy. `machines`
 /// is the cycle-local snapshot of the collector's shared ads; strategies
 /// deduct claimed resources as they match so one cycle never
@@ -109,12 +123,16 @@ struct MatchCycle {
   MachineAds& machines;
   /// Pending job ids in priority-then-FIFO order (see ordered_pending).
   const std::vector<JobId>& pending;
-  const std::function<bool(JobId, NodeId)>& dispatch;
+  const DispatchFn& dispatch;
   SimTime now = 0.0;
   /// True when the negotiator wants per-match latency samples collected
   /// (only the batch telemetry registers the histogram, so the FIFO
   /// default pays nothing and exports byte-identical JSON).
   bool want_latencies = false;
+  /// Per machine index: a dispatch there answered kNodeClosed this
+  /// cycle. A later claim on it counts a refusal without calling
+  /// dispatch (or touching the job's state).
+  std::vector<char> closed = {};
 };
 
 /// What one strategy pass did. The batch counters stay zero under FIFO.

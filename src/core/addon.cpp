@@ -9,17 +9,15 @@ namespace phisched::core {
 
 namespace {
 
-/// Reads one pending job's declared requirements out of its ClassAd.
+/// One pending job's declared requirements, from the schedd's cache.
 PendingJobView job_view(const condor::JobRecord& rec) {
+  const condor::JobRequests& r = rec.requests();
   PendingJobView v;
   v.id = rec.id;
-  v.mem_req_mib = rec.ad.eval_integer(condor::kAttrRequestPhiMemory).value_or(0);
-  v.threads_req = static_cast<ThreadCount>(
-      rec.ad.eval_integer(condor::kAttrRequestPhiThreads).value_or(0));
-  v.devices_req = static_cast<int>(
-      rec.ad.eval_integer(condor::kAttrRequestPhiDevices).value_or(1));
-  v.bw_req =
-      rec.ad.eval_real(condor::kAttrRequestPhiMemBandwidth).value_or(0.0);
+  v.mem_req_mib = r.memory_mib;
+  v.threads_req = r.threads;
+  v.devices_req = r.devices;
+  v.bw_req = r.bandwidth;
   return v;
 }
 

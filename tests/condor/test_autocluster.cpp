@@ -154,10 +154,10 @@ struct Side {
   Rng rng;
   Rng refusals;
   std::vector<std::tuple<JobId, NodeId, bool>> dispatched;
-  std::function<bool(JobId, NodeId)> dispatch = [this](JobId job, NodeId node) {
+  DispatchFn dispatch = [this](JobId job, NodeId node) {
     const bool ok = !refusals.bernoulli(0.3);
     dispatched.emplace_back(job, node, ok);
-    return ok;
+    return ok ? DispatchResult::kAccepted : DispatchResult::kRefused;
   };
 };
 
@@ -172,7 +172,7 @@ CycleOutcome reference_walk(MatchCycle& cycle) {
     if (!chosen.has_value()) continue;
     const NodeId node = cycle.machines[*chosen].first;
     cycle.schedd.mark_matched(job_id, node);
-    if (cycle.dispatch(job_id, node)) {
+    if (cycle.dispatch(job_id, node) == DispatchResult::kAccepted) {
       ++outcome.matches;
       classad::ClassAd deducted = *cycle.machines[*chosen].second;
       deduct_from_ad(deducted, rec.ad, cycle.deduct_custom_resources);

@@ -41,7 +41,7 @@ class NegotiatorTest : public ::testing::Test {
     if (dispatch == nullptr) {
       dispatch = [this](JobId job, NodeId node) {
         dispatched_.emplace_back(job, node);
-        return true;
+        return DispatchResult::kAccepted;
       };
     }
     return Negotiator(sim_, schedd_, collector_, std::move(dispatch), config,
@@ -117,7 +117,7 @@ TEST_F(NegotiatorTest, RejectedDispatchReturnsJobToPending) {
   add_machine(0, 10000, 4);
   submit_job(1, 100, sharing_requirements());
   auto negotiator =
-      make({}, [](JobId, NodeId) { return false; });
+      make({}, [](JobId, NodeId) { return DispatchResult::kRefused; });
   negotiator.run_cycle();
   EXPECT_EQ(schedd_.record(1).state, JobState::kPending);
   EXPECT_EQ(negotiator.stats().rejected_dispatches, 1u);

@@ -35,7 +35,7 @@ class PriorityTest : public ::testing::Test {
         sim_, schedd_, collector_,
         [&dispatched](JobId job, NodeId) {
           dispatched.push_back(job);
-          return true;
+          return DispatchResult::kAccepted;
         },
         NegotiatorConfig{}, Rng(1));
     negotiator.run_cycle();

@@ -31,7 +31,7 @@ class RankTest : public ::testing::Test {
         sim_, schedd_, collector_,
         [this](JobId job, NodeId node) {
           dispatched_.emplace_back(job, node);
-          return true;
+          return DispatchResult::kAccepted;
         },
         config, Rng(1));
   }

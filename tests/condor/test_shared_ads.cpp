@@ -60,7 +60,7 @@ TEST_F(SharedAdsTest, DeductionIsSeenInCycleButNeverByCollectorOrNextCycle) {
       sim_, schedd_, collector,
       [this](JobId job, NodeId) {
         dispatched_.push_back(job);
-        return true;
+        return DispatchResult::kAccepted;
       },
       config, Rng(1));
 
@@ -88,10 +88,9 @@ TEST_F(SharedAdsTest, OnlySuccessfulClaimsCopyTheirMachine) {
   // Node 0 refuses jobs 1 and 2; job 3 dispatches there; job 4 then
   // sees node 0's deducted copy and lands on node 1, refused again.
   std::vector<std::pair<JobId, NodeId>> attempts;
-  const std::function<bool(JobId, NodeId)> dispatch = [&](JobId job,
-                                                          NodeId node) {
+  const DispatchFn dispatch = [&](JobId job, NodeId node) {
     attempts.emplace_back(job, node);
-    return job == 3;
+    return job == 3 ? DispatchResult::kAccepted : DispatchResult::kRefused;
   };
   Rng rng(1);
   const std::vector<JobId> pending = ordered_pending(schedd_, schedd_.pending());

@@ -156,10 +156,9 @@ class StrategyTest : public ::testing::Test {
   Rng rng_;
   MachineAds machines_;
   std::vector<std::pair<JobId, NodeId>> dispatched_;
-  std::function<bool(JobId, NodeId)> dispatch_ = [this](JobId job,
-                                                        NodeId node) {
+  DispatchFn dispatch_ = [this](JobId job, NodeId node) {
     dispatched_.emplace_back(job, node);
-    return true;
+    return DispatchResult::kAccepted;
   };
 };
 

@@ -171,6 +171,20 @@ TEST_F(AddonTest, RunsCounted) {
   EXPECT_EQ(addon.stats().runs, 2u);
 }
 
+TEST_F(AddonTest, QeditOfDeclaredMemoryReachesTheNextPreCycle) {
+  add_machine(0, 1000);
+  submit(1, 2000, 60);  // too big for the card's free memory
+  auto addon = make_addon();
+  addon.pre_cycle();
+  EXPECT_EQ(addon.stats().pins, 0u);
+  // An external condor_qedit shrinks the declaration; the add-on's next
+  // pass must read the edited ad, not the requests it read before.
+  schedd_.qedit_expr(1, condor::kAttrRequestPhiMemory, "800");
+  addon.pre_cycle();
+  EXPECT_EQ(addon.stats().pins, 1u);
+  EXPECT_EQ(schedd_.record(1).ad.eval_integer(condor::kAttrPinnedDevice), 0);
+}
+
 TEST_F(AddonTest, NullPolicyRejected) {
   EXPECT_THROW(SharingAwareScheduler(schedd_, collector_, nullptr, {}),
                std::invalid_argument);
