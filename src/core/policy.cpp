@@ -1,6 +1,7 @@
 #include "core/policy.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "common/check.hpp"
@@ -20,10 +21,23 @@ class KnapsackAssignmentPolicy final : public AssignmentPolicy {
     std::vector<Assignment> out;
     std::vector<bool> taken(pending.size(), false);
 
+    // The smallest declared request in each dimension: a card below it
+    // would reject every job in the candidate scan, so it is skipped.
+    MiB min_mem = std::numeric_limits<MiB>::max();
+    ThreadCount min_threads = std::numeric_limits<ThreadCount>::max();
+    for (const PendingJobView& job : pending) {
+      min_mem = std::min(min_mem, job.mem_req_mib);
+      min_threads = std::min(min_threads, job.threads_req);
+    }
+
     // Fig. 4: fill the knapsacks (devices) one after another; each fill
     // consumes jobs from the remaining pending set.
     for (const DeviceView& dev : devices) {
       if (dev.free_memory_mib < config_.quantum_mib) continue;
+      if (dev.free_memory_mib < min_mem || dev.thread_budget < min_threads ||
+          dev.hw_threads < min_threads) {
+        continue;
+      }
 
       knapsack::Problem problem;
       problem.capacity_mib = dev.free_memory_mib;

@@ -12,6 +12,18 @@
 // but the reconstructed set is always feasible in both dimensions: zero-
 // valued (infeasible) cells are never reconstructed because the skip
 // branch dominates them.
+//
+// The recurrence is evaluated once per run of equal cells, not once per
+// bucket. A thread-feasible set holds only a few of the paper's jobs, so a
+// row V(i, ·) is a step function with a handful of steps, and row i can
+// change only where row i-1 does at m or at m - m_i. Merging those two
+// breakpoint lists and applying the cell rule once per merged segment
+// gives every cell, and so the packed set, bit for bit as the per-bucket
+// loop does, at O(n·k) for k ≤ w+1 runs per row. Take decisions are kept
+// as bucket intervals per item for the reconstruction. When rows are
+// dense (no thread rule, unrelated values) k approaches w and the
+// per-segment bookkeeping makes this slower than the per-bucket loop
+// (bench_knapsack's BM_Dp1DDense); no shipped configuration gets there.
 #pragma once
 
 #include "knapsack/solver.hpp"

@@ -25,7 +25,8 @@ enum class SolverKind {
   /// The paper's formulation: 1-D dynamic program over quantized memory;
   /// sets that exceed the thread budget get value zero (a heuristic — the
   /// returned set is always memory- and thread-feasible, but may be
-  /// value-suboptimal).
+  /// value-suboptimal). The same recurrence, evaluated once per run of
+  /// equal cells of each row rather than once per bucket.
   kDp1D,
   /// Exact 2-D dynamic program over (memory, thread) buckets.
   kDp2D,

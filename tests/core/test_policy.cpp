@@ -94,6 +94,47 @@ TEST(KnapsackPolicy, SkipsDevicesBelowQuantum) {
   EXPECT_TRUE(policy->assign(pending, devices).empty());
 }
 
+TEST(KnapsackPolicy, CardsNoPendingJobFitsGetNothingAndChangeNothing) {
+  auto policy = make_knapsack_policy({});
+  const std::vector<PendingJobView> pending = {
+      job(1, 1000, 60), job(2, 2000, 120), job(3, 1500, 60),
+      job(4, 3000, 180), job(5, 1000, 120)};
+  DeviceView narrow_budget = device(1, 0, 7680, /*budget=*/59);
+  DeviceView narrow_card = device(2, 0, 7680);
+  narrow_card.hw_threads = 59;
+  const std::vector<DeviceView> fitting = {device(3, 0, 4000),
+                                           device(4, 0, 7680)};
+  std::vector<DeviceView> devices = {device(0, 0, 950), narrow_budget,
+                                     narrow_card};
+  devices.insert(devices.end(), fitting.begin(), fitting.end());
+
+  const auto with_skipped = policy->assign(pending, devices);
+  const auto without = policy->assign(pending, fitting);
+  ASSERT_EQ(with_skipped.size(), without.size());
+  for (std::size_t k = 0; k < without.size(); ++k) {
+    EXPECT_EQ(with_skipped[k].job, without[k].job);
+    EXPECT_EQ(with_skipped[k].device, without[k].device);
+  }
+  const auto load = load_by_device(with_skipped, pending);
+  EXPECT_EQ(load.count(DeviceAddress{0, 0}), 0u);
+  EXPECT_EQ(load.count(DeviceAddress{1, 0}), 0u);
+  EXPECT_EQ(load.count(DeviceAddress{2, 0}), 0u);
+  // The cards after the skipped ones are still filled.
+  EXPECT_EQ(load.count(DeviceAddress{3, 0}), 1u);
+  EXPECT_EQ(load.count(DeviceAddress{4, 0}), 1u);
+}
+
+TEST(KnapsackPolicy, CardExactlyAtTheSmallestRequestIsFilled) {
+  auto policy = make_knapsack_policy({});
+  const std::vector<PendingJobView> pending = {job(1, 2000, 120),
+                                               job(2, 1000, 60)};
+  DeviceView exact = device(0, 0, 1000, /*budget=*/60);
+  exact.hw_threads = 60;
+  const auto assignments = policy->assign(pending, {exact});
+  ASSERT_EQ(assignments.size(), 1u);
+  EXPECT_EQ(assignments[0].job, 2u);
+}
+
 TEST(KnapsackPolicy, MaxCandidatesBoundsTheWindow) {
   KnapsackPolicyConfig config;
   config.max_candidates = 2;

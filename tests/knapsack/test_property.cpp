@@ -112,7 +112,8 @@ TEST(BranchAndBound, NodeBudgetGuards) {
 
 TEST(Scaling, Dp1DHandlesLargeInstancesQuickly) {
   // The paper's complexity argument: O(n·w) with w = 160 buckets makes the
-  // solve near-linear in n. 1000 items must be instant.
+  // solve near-linear in n; evaluated per run of equal cells it is O(n·k)
+  // with k ≤ w+1 runs per row. 1000 items must be instant.
   Rng rng(11);
   const Problem p = random_problem(rng, 1000);
   Dp1DSolver solver;
